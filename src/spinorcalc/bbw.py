@@ -27,12 +27,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
 from .rootdata import (
-    DecompositionMultiset,
+    RHO,
     Weight,
     bbw_regularize,
     is_dominant,
@@ -94,10 +93,6 @@ class CohomologyTable:
         merged.update(dict(other.entries))
         return CohomologyTable.from_dict(dict(merged))
 
-    def reversed_around(self, top: int) -> "CohomologyTable":
-        """The table with degree d sent to top - d (a Serre-duality helper)."""
-        return CohomologyTable(tuple((top - d, n) for d, n in self.entries))
-
     def to_json(self) -> dict[str, int]:
         return {str(d): n for d, n in self.entries}
 
@@ -120,7 +115,7 @@ class HomogBundle:
                 raise ValueError(f"summand weight {w} is not GL5-dominant")
             counts[w] += m
         clean = tuple(sorted(((w, m) for w, m in counts.items() if m),
-                             key=lambda e: e[0].coords, reverse=True))
+                             key=lambda e: e[0].twice, reverse=True))
         if any(m < 0 for _, m in clean):
             raise ValueError("negative multiplicity")
         object.__setattr__(self, "summands", clean)
@@ -129,15 +124,13 @@ class HomogBundle:
     def rank(self) -> int:
         return sum(m * weyl_dim(w, "GL5") for w, m in self.summands)
 
-    def decomposition(self) -> DecompositionMultiset:
-        return DecompositionMultiset(self.summands)
-
     def dual(self) -> "HomogBundle":
         return HomogBundle(tuple((w.dual(), m) for w, m in self.summands))
 
     def twist(self, k: int) -> "HomogBundle":
-        t = Fraction(k, 2)
-        return HomogBundle(tuple((w.shifted(t), m) for w, m in self.summands))
+        """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones."""
+        return HomogBundle(tuple((Weight._from_twice(tuple(d + k for d in w.twice)), m)
+                                 for w, m in self.summands))
 
     def __mul__(self, other: "HomogBundle") -> "HomogBundle":
         counts: Counter = Counter()
@@ -159,7 +152,7 @@ class HomogBundle:
 
 def O(k: int = 0) -> HomogBundle:
     """The line bundle O(k)."""
-    return HomogBundle(((Weight((Fraction(k, 2),) * 5), 1),))
+    return HomogBundle(((Weight._from_twice((k,) * 5), 1),))
 
 
 def U() -> HomogBundle:
@@ -187,10 +180,7 @@ class BundleExprError(ValueError):
         self.position = position
 
 
-Tree = Union[tuple]
-
-
-def parse_bundle_expr(text: str) -> Tree:
+def parse_bundle_expr(text: str) -> tuple:
     """Parse a bundle expression into a tree of ('atom'|'dual'|'twist'|'tensor') nodes."""
     pos = 0
     n = len(text)
@@ -213,13 +203,13 @@ def parse_bundle_expr(text: str) -> Tree:
         start = pos
         if pos < n and text[pos] in "+-":
             pos += 1
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in "0123456789":
             pos += 1
         if pos == start or not text[start:pos].lstrip("+-"):
             raise BundleExprError("expected integer", start)
         return int(text[start:pos])
 
-    def parse_factor() -> Tree:
+    def parse_factor() -> tuple:
         nonlocal pos
         skip_ws()
         if pos >= n:
@@ -229,7 +219,7 @@ def parse_bundle_expr(text: str) -> Tree:
             expect("(")
             inner = parse_expr()
             expect(")")
-            node: Tree = ("dual", inner)
+            node: tuple = ("dual", inner)
         elif text[pos] in "OU":
             node = ("atom", text[pos])
             pos += 1
@@ -243,7 +233,7 @@ def parse_bundle_expr(text: str) -> Tree:
             node = ("twist", node, k)
         return node
 
-    def parse_expr() -> Tree:
+    def parse_expr() -> tuple:
         nonlocal pos
         node = parse_factor()
         while True:
@@ -261,7 +251,7 @@ def parse_bundle_expr(text: str) -> Tree:
     return tree
 
 
-def build_bundle(tree: Tree) -> HomogBundle:
+def build_bundle(tree: tuple) -> HomogBundle:
     kind = tree[0]
     if kind == "atom":
         return O() if tree[1] == "O" else U()
@@ -274,7 +264,7 @@ def build_bundle(tree: Tree) -> HomogBundle:
     raise ValueError(f"malformed bundle tree {tree!r}")
 
 
-def make_bundle(expr: Union[str, Tree, HomogBundle]) -> HomogBundle:
+def make_bundle(expr: Union[str, tuple, HomogBundle]) -> HomogBundle:
     """Build a bundle from an expression string (or an already parsed tree)."""
     if isinstance(expr, HomogBundle):
         return expr
@@ -288,21 +278,23 @@ def make_bundle(expr: Union[str, Tree, HomogBundle]) -> HomogBundle:
 # ---------------------------------------------------------------------------
 
 
+_RHO = Weight(RHO)
+
+
 @functools.lru_cache(maxsize=None)
-def _irreducible_cohomology(coords: tuple[Fraction, ...]) -> Optional[tuple[int, int]]:
-    reg = bbw_regularize(Weight(coords))
+def _irreducible_cohomology(twice: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    reg = bbw_regularize(Weight._from_twice(twice))
     if reg is None:
         return None
     length, dom = reg
-    lam = dom - Weight((4, 3, 2, 1, 0))
-    return length, weyl_dim(lam, "D5")
+    return length, weyl_dim(dom - _RHO, "D5")
 
 
 def cohomology(b: HomogBundle) -> CohomologyTable:
     """Sheaf cohomology on the tenfold, summand by summand."""
     dims: Counter = Counter()
     for w, m in b.summands:
-        hit = _irreducible_cohomology(w.coords)
+        hit = _irreducible_cohomology(w.twice)
         if hit is not None:
             degree, dim = hit
             dims[degree] += m * dim

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from . import bbw, intersect, mukai, sections
 from .bbw import BundleExprError, make_bundle
 from .intersect import ChernData, CohClass, Q
-from .rootdata import Weight
+from .rootdata import Weight, WeightSyntaxError
 
 parse_bundle_expr = bbw.parse_bundle_expr
 
@@ -525,7 +525,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except BundleExprError as exc:
+    except (BundleExprError, WeightSyntaxError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, sections.SpliceError, json.JSONDecodeError) as exc:

@@ -7,9 +7,13 @@ permutations composed with even numbers of sign changes; the Levi Weyl
 group W(GL5) = S5 acts by permutations alone.  The 20 positive roots of D5
 are e_i - e_j and e_i + e_j for i < j; GL5 keeps only the differences.
 
-Everything here is exact rational arithmetic (fractions.Fraction); no
-floating point enters anywhere.  All functions are pure; the memo caches
-are observationally pure, so concurrent use is safe.
+A weight is stored as its doubled coordinates, a tuple of plain ints in
+which half-integers are the odd numbers, and every computation here runs
+on those ints.  Fractions appear only at the edges: when a weight is built
+from, or read back as, rationals, and when it is parsed from or printed as
+text.  The arithmetic stays exact; no floating point enters anywhere.  All
+functions are pure; the memo caches are observationally pure, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -18,71 +22,101 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import ge
 from typing import Iterable, Iterator, Literal, Optional
 
 Flavor = Literal["D5", "GL5"]
 
 RANK = 5
-RHO = (Fraction(4), Fraction(3), Fraction(2), Fraction(1), Fraction(0))
+RHO = (4, 3, 2, 1, 0)
+_RHO2 = tuple(2 * r for r in RHO)
 
 
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact coordinate from {x!r}")
+class WeightSyntaxError(ValueError):
+    """A weight written in text is not RANK comma-separated rationals."""
 
 
-@dataclass(frozen=True)
+def _halves(twice: tuple[int, ...]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(d, 2) for d in twice)
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Weight:
     """A lattice point in epsilon-coordinates.
 
     Coordinates must all be integers or all half-odd-integers; mixing the
     two parity classes is a constructor-time error, since it always
-    indicates a caller bug (no irreducible summand mixes them).
+    indicates a caller bug (no irreducible summand mixes them).  The
+    constructor takes ints, Fractions or strings such as ``"-3/2"``; ``coords``,
+    iteration and indexing give the coordinates back as Fractions, while
+    ``twice`` holds the doubled coordinates as ints.  Weights are immutable.
     """
 
-    coords: tuple[Fraction, ...]
+    twice: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cs = tuple(_coerce(c) for c in self.coords)
+    def __init__(self, coords: Iterable) -> None:
+        cs = []
+        for c in coords:
+            if isinstance(c, str):
+                c = Fraction(c)
+            elif not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot build an exact coordinate from {c!r}")
+            cs.append(c)
         if len(cs) != RANK:
             raise ValueError(f"expected {RANK} coordinates, got {len(cs)}")
         doubled = [2 * c for c in cs]
-        if any(d.denominator != 1 for d in doubled):
-            raise ValueError(f"coordinates must be integers or half-integers: {cs}")
-        if len({d.numerator % 2 for d in doubled}) > 1:
-            raise ValueError(f"mixed integer/half-integer coordinates: {cs}")
-        object.__setattr__(self, "coords", cs)
+        if any(isinstance(d, Fraction) and d.denominator != 1 for d in doubled):
+            raise ValueError(f"coordinates must be integers or half-integers: "
+                             f"{tuple(map(Fraction, cs))}")
+        twice = tuple(int(d) for d in doubled)
+        if len({d & 1 for d in twice}) > 1:
+            raise ValueError(f"mixed integer/half-integer coordinates: {tuple(map(Fraction, cs))}")
+        object.__setattr__(self, "twice", twice)
+
+    @classmethod
+    def _from_twice(cls, twice: tuple[int, ...]) -> "Weight":
+        """The weight with doubled coordinates ``twice``, skipping the Fraction work."""
+        if len(twice) != RANK:
+            raise ValueError(f"expected {RANK} coordinates, got {len(twice)}")
+        if len({d & 1 for d in twice}) > 1:
+            raise ValueError(f"mixed integer/half-integer coordinates: {_halves(twice)}")
+        w = object.__new__(cls)
+        object.__setattr__(w, "twice", twice)
+        return w
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={self.coords!r})"
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Weight | Iterable") -> "Weight":
-        oc = other.coords if isinstance(other, Weight) else tuple(_coerce(c) for c in other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, oc)))
+        o = other if isinstance(other, Weight) else Weight(other)
+        return Weight._from_twice(tuple(a + b for a, b in zip(self.twice, o.twice)))
 
     def __sub__(self, other: "Weight | Iterable") -> "Weight":
-        oc = other.coords if isinstance(other, Weight) else tuple(_coerce(c) for c in other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, oc)))
+        o = other if isinstance(other, Weight) else Weight(other)
+        return Weight._from_twice(tuple(a - b for a, b in zip(self.twice, o.twice)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords))
+        return Weight._from_twice(tuple(-d for d in self.twice))
 
     def shifted(self, t) -> "Weight":
         """Add the scalar t to every coordinate (a determinant twist)."""
-        t = _coerce(t)
-        return Weight(tuple(c + t for c in self.coords))
+        return self + (t,) * RANK
 
     def dual(self) -> "Weight":
         """Highest weight of the dual representation: negate and reverse."""
-        return Weight(tuple(-c for c in reversed(self.coords)))
+        return Weight._from_twice(tuple(-d for d in reversed(self.twice)))
 
     def total(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
+        return Fraction(sum(self.twice), 2)
 
     # -- conversions ------------------------------------------------------
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return _halves(self.twice)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coords)
@@ -92,25 +126,38 @@ class Weight:
 
     @classmethod
     def from_text(cls, text: str) -> "Weight":
-        """Parse the CLI syntax: comma-separated rationals, e.g. ``1/2,1/2,1/2,1/2,-1/2``."""
-        parts = [p.strip() for p in text.split(",")]
+        """Parse the CLI syntax: comma-separated rationals, e.g. ``1/2,1/2,1/2,1/2,-1/2``.
+
+        Malformed text raises WeightSyntaxError; well-formed rationals off
+        the weight lattice raise the constructor's ValueError.
+        """
+        parts = text.split(",")
         if len(parts) != RANK:
-            raise ValueError(f"expected {RANK} comma-separated rationals, got {len(parts)}")
-        return cls(tuple(Fraction(p) for p in parts))
+            raise WeightSyntaxError(f"expected {RANK} comma-separated rationals, got {len(parts)}")
+        coords = []
+        for part in parts:
+            if not part.isascii():
+                raise WeightSyntaxError(f"not a rational number: {part.strip()!r}")
+            try:
+                coords.append(Fraction(part))
+            except ValueError:
+                raise WeightSyntaxError(f"not a rational number: {part.strip()!r}") from None
+            except ZeroDivisionError:
+                raise WeightSyntaxError(f"zero denominator in {part.strip()!r}") from None
+        return cls(coords)
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coords)
+        return ",".join(str(d >> 1) if d & 1 == 0 else f"{d}/2" for d in self.twice)
 
 
-ZERO = Weight((0, 0, 0, 0, 0))
 SPINOR = Weight((Fraction(1, 2),) * RANK)          # highest weight of the 16-dim half-spin rep
 VECTOR = Weight((1, 0, 0, 0, 0))                   # highest weight of the 10-dim vector rep
 
 
 def is_dominant(w: Weight, flavor: Flavor) -> bool:
     """Fundamental-chamber test: weakly decreasing; for D5 also c4 >= |c5|."""
-    c = w.coords
-    if any(c[i] < c[i + 1] for i in range(RANK - 1)):
+    c = w.twice
+    if not all(map(ge, c, c[1:])):
         return False
     if flavor == "D5":
         return c[3] >= abs(c[4])
@@ -127,9 +174,10 @@ def bbw_regularize(lam: Weight) -> Optional[tuple[int, Weight]]:
     where dom = w.v is the unique D5-dominant orbit representative
     (absolute values sorted descending, with the last sign flipped when the
     number of sign changes used is odd) and length counts the positive
-    roots alpha with <v, alpha> < 0.
+    roots alpha with <v, alpha> < 0.  Doubling v changes none of the signs
+    or equalities, so the work runs on 2v.
     """
-    v = [a + b for a, b in zip(lam.coords, RHO)]
+    v = [a + b for a, b in zip(lam.twice, _RHO2)]
     absv = [abs(x) for x in v]
     if len(set(absv)) < RANK:
         return None
@@ -143,31 +191,39 @@ def bbw_regularize(lam: Weight) -> Optional[tuple[int, Weight]]:
             length += 1
         if v[i] + v[j] < 0:
             length += 1
-    return length, Weight(tuple(dom))
+    return length, Weight._from_twice(tuple(dom))
+
+
+def _root_pairings(v: tuple[int, ...], flavor: Flavor) -> int:
+    """Product of <v, alpha> over the positive roots alpha of the flavor."""
+    out = 1
+    for i, j in combinations(range(RANK), 2):
+        out *= v[i] - v[j]
+        if flavor == "D5":
+            out *= v[i] + v[j]
+    return out
+
+
+_WEYL_DENOMINATOR = {flavor: _root_pairings(_RHO2, flavor) for flavor in ("D5", "GL5")}
 
 
 @functools.lru_cache(maxsize=None)
-def _weyl_dim_cached(coords: tuple[Fraction, ...], flavor: Flavor) -> int:
-    v = [a + b for a, b in zip(coords, RHO)]
-    num = Fraction(1)
-    den = Fraction(1)
-    for i, j in combinations(range(RANK), 2):
-        num *= v[i] - v[j]
-        den *= RHO[i] - RHO[j]
-        if flavor == "D5":
-            num *= v[i] + v[j]
-            den *= RHO[i] + RHO[j]
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise ArithmeticError(f"Weyl dimension of {coords} came out as {d}")
-    return int(d)
+def _weyl_dim_cached(twice: tuple[int, ...], flavor: Flavor) -> int:
+    # numerator and denominator both pair twice the vector with every root,
+    # so the factors of 2 cancel
+    num = _root_pairings(tuple(a + b for a, b in zip(twice, _RHO2)), flavor)
+    den = _WEYL_DENOMINATOR[flavor]
+    d, rest = divmod(num, den)
+    if rest or d <= 0:
+        raise ArithmeticError(f"Weyl dimension of {_halves(twice)} came out as {Fraction(num, den)}")
+    return d
 
 
 def weyl_dim(lam: Weight, flavor: Flavor) -> int:
     """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots."""
     if not is_dominant(lam, flavor):
         raise ValueError(f"{lam} is not {flavor}-dominant")
-    return _weyl_dim_cached(lam.coords, flavor)
+    return _weyl_dim_cached(lam.twice, flavor)
 
 
 @dataclass(frozen=True)
@@ -186,12 +242,8 @@ class DecompositionMultiset:
             if w in seen:
                 raise ValueError(f"duplicate entry {w}")
             seen.add(w)
-        ordered = tuple(sorted(self.entries, key=lambda e: e[0].coords, reverse=True))
+        ordered = tuple(sorted(self.entries, key=lambda e: e[0].twice, reverse=True))
         object.__setattr__(self, "entries", ordered)
-
-    @classmethod
-    def from_counter(cls, counts: "Counter[Weight] | dict[Weight, int]") -> "DecompositionMultiset":
-        return cls(tuple((w, m) for w, m in counts.items() if m))
 
     def items(self) -> tuple[tuple[Weight, int], ...]:
         return self.entries
@@ -207,9 +259,10 @@ class DecompositionMultiset:
 
 
 @functools.lru_cache(maxsize=None)
-def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> Counter:
+def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Littlewood-Richardson expansion of two partitions, truncated to 5 rows.
 
+    Returns (shape, multiplicity) pairs, shapes in decreasing order.
     Enumerates chains of horizontal strips subject to the ballot condition:
     the boxes added for letter i+1 within the first r+1 rows never exceed
     the boxes of letter i within the first r rows.
@@ -217,40 +270,34 @@ def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> Counter:
     out: Counter = Counter()
     letters = [m for m in mu if m > 0]
 
-    def add_letter(shape: tuple[int, ...], prev_cum: Optional[tuple[int, ...]], idx: int) -> None:
+    def add_letter(shape: tuple[int, ...], caps: tuple[int, ...], idx: int) -> None:
+        # caps[r]: the most boxes this letter may put in rows 0..r (ballot)
         if idx == len(letters):
             out[shape] += 1
             return
         size = letters[idx]
-        rows: list[int] = [0] * RANK
+        if size > caps[-1]:
+            return
+        # room[r]: the most boxes row r takes with the strip staying
+        # horizontal; below[r]: the most the rows after r take together
+        room = (size,) + tuple(shape[r - 1] - shape[r] for r in range(1, RANK))
+        below = tuple(accumulate(reversed(room)))[-2::-1] + (0,)
+        rows = [0] * RANK
 
-        def place(r: int, remaining: int) -> None:
-            if r == RANK:
-                if remaining == 0:
-                    new_shape = tuple(shape[i] + rows[i] for i in range(RANK))
-                    cum = []
-                    acc = 0
-                    for b in rows:
-                        acc += b
-                        cum.append(acc)
-                    add_letter(new_shape, tuple(cum), idx + 1)
+        def place(r: int, remaining: int, placed: int) -> None:
+            if r == RANK - 1:
+                rows[r] = remaining
+                cum = tuple(accumulate(rows))
+                add_letter(tuple(s + b for s, b in zip(shape, rows)), (0,) + cum[:-1], idx + 1)
                 return
-            hi = remaining
-            if r > 0:
-                hi = min(hi, shape[r - 1] - shape[r])  # horizontal strip
-            if prev_cum is not None:
-                already = sum(rows[:r])
-                cap = (prev_cum[r - 1] if r > 0 else 0) - already  # ballot
-                hi = min(hi, cap)
-            for b in range(hi + 1):
+            for b in range(max(0, remaining - below[r]), min(remaining, room[r], caps[r] - placed) + 1):
                 rows[r] = b
-                place(r + 1, remaining - b)
-            rows[r] = 0
+                place(r + 1, remaining - b, placed + b)
 
-        place(0, size)
+        place(0, size, 0)
 
-    add_letter(tuple(lam), None, 0)
-    return out
+    add_letter(tuple(lam), (sum(mu),) * RANK, 0)
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def tensor_decompose(lam: Weight, mu: Weight) -> DecompositionMultiset:
@@ -263,12 +310,14 @@ def tensor_decompose(lam: Weight, mu: Weight) -> DecompositionMultiset:
     for w in (lam, mu):
         if not is_dominant(w, "GL5"):
             raise ValueError(f"{w} is not GL5-dominant")
-    a = lam.coords[-1]
-    b = mu.coords[-1]
-    lam_p = tuple(int(c - a) for c in lam.coords)
-    mu_p = tuple(int(c - b) for c in mu.coords)
+    a = lam.twice[-1]
+    b = mu.twice[-1]
+    lam_p = tuple((d - a) >> 1 for d in lam.twice)
+    mu_p = tuple((d - b) >> 1 for d in mu.twice)
     shift = a + b
-    counts: Counter = Counter()
-    for shape, m in _lr_products(lam_p, mu_p).items():
-        counts[Weight(shape).shifted(shift)] += m
-    return DecompositionMultiset.from_counter(counts)
+    # c^nu_{lam,mu} = c^nu_{mu,lam}: key the LR cache on the pair with the
+    # larger partition first, so the smaller one's letters are placed
+    pair = sorted((lam_p, mu_p), key=lambda p: (sum(p), p), reverse=True)
+    return DecompositionMultiset(tuple(
+        (Weight._from_twice(tuple(2 * c + shift for c in shape)), m)
+        for shape, m in _lr_products(*pair)))

@@ -39,6 +39,29 @@ class TestBBWCommand:
         assert code == 2
         assert "offset 0" in err
 
+    def test_weight_outside_lattice_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "bbw", "--weight", "1/3,0,0,0,0")
+        assert (code, out) == (1, "")
+        assert err == ("error: coordinates must be integers or half-integers: (Fraction(1, 3), "
+                       "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))\n")
+
+    def test_weight_mixed_parity_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "bbw", "--weight", "1/2,0,0,0,0")
+        assert (code, out) == (1, "")
+        assert err == ("error: mixed integer/half-integer coordinates: (Fraction(1, 2), "
+                       "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))\n")
+
+    @pytest.mark.parametrize("text", ["a,b,c,d,e", "1,2", "1/0,0,0,0,0"])
+    def test_weight_syntax_error_exit_2(self, capsys, text):
+        code, out, err = invoke(capsys, "bbw", "--weight", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("syntax error: ") and err.count("\n") == 1
+
+    def test_non_ascii_digit_twist_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "bbw", "--bundle", "O(\u0967)")
+        assert (code, out) == (2, "")
+        assert err == "syntax error: expected integer at offset 2\n"
+
     def test_usage_error_exit_2(self, capsys):
         assert invoke(capsys, "bbw")[0] == 2
         assert invoke(capsys, "nonsense")[0] == 2

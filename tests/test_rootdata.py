@@ -2,6 +2,8 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import klimyk_tensor, orbit_size_d5, regularize_oracle
 from spinorcalc.rootdata import (
@@ -10,6 +12,7 @@ from spinorcalc.rootdata import (
     VECTOR,
     DecompositionMultiset,
     Weight,
+    WeightSyntaxError,
     bbw_regularize,
     is_dominant,
     tensor_decompose,
@@ -36,6 +39,56 @@ class TestWeight:
         w = Weight.from_text("1/2,1/2,1/2,1/2,-1/2")
         assert w == Weight((Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2), Q(-1, 2)))
         assert Weight.from_text(str(w)) == w
+
+    SAMPLES = [
+        Weight((3, 1, 0, -1, -2)),
+        Weight((0,) * 5),
+        SPINOR,
+        Weight((Q(-1, 2), Q(-1, 2), Q(-3, 2), Q(-3, 2), Q(-7, 2))),
+        Weight((Q(9, 2), Q(1, 2), Q(-1, 2), Q(-5, 2), Q(-11, 2))),
+    ]
+
+    def test_text_and_coords_round_trip(self):
+        for w in self.SAMPLES:
+            assert Weight.from_text(str(w)) == w
+            assert Weight(w.coords) == w
+
+    def test_coordinates_are_exact_fractions(self):
+        w = Weight((Q(3, 2), Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-3, 2)))
+        assert w.coords == (Q(3, 2), Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-3, 2))
+        assert all(type(c) is Q for c in Weight((2, 1, 0, 0, -1)).coords)
+        assert list(w) == list(w.coords)
+        assert w[0] == Q(3, 2) and w[4] == Q(-3, 2)
+        assert w.total() == Q(-1, 2)
+
+    def test_input_kinds_agree(self):
+        for forms in [
+            [(2, 1, 0, 0, -1), (Q(2), Q(1), Q(0), Q(0), Q(-1)), ("2", "1", "0", "0", "-1"),
+             (Q(4, 2), "1", 0, Q(0), "-2/2")],
+            [(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-3, 2), Q(-3, 2)),
+             ("1/2", "-1/2", "-1/2", "-3/2", "-3/2"),
+             (Q(1, 2), "-1/2", Q(-2, 4), "-3/2", Q(-3, 2))],
+        ]:
+            weights = [Weight(f) for f in forms]
+            assert all(w == weights[0] for w in weights)
+            assert len({hash(w) for w in weights}) == 1
+            assert len(set(weights)) == 1
+
+    def test_negative_half_integer_text(self):
+        assert str(Weight((Q(-1, 2),) * 5)) == "-1/2,-1/2,-1/2,-1/2,-1/2"
+        w = Weight((Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-3, 2), Q(-3, 2)))
+        assert str(w) == "1/2,-1/2,-1/2,-3/2,-3/2"
+        assert str(Weight((2, 0, 0, -1, -3))) == "2,0,0,-1,-3"
+
+    def test_rejects_inexact_coordinates(self):
+        with pytest.raises(TypeError):
+            Weight((0.5,) * 5)
+
+    @pytest.mark.parametrize("text", ["a,b,c,d,e", "1,2", "1,0,0,0,0,0", "1/0,0,0,0,0",
+                                      "1//2,0,0,0,0", "\u0661,0,0,0,0"])
+    def test_from_text_syntax_errors(self, text):
+        with pytest.raises(WeightSyntaxError):
+            Weight.from_text(text)
 
     def test_dual_is_involution(self):
         w = Weight((3, 1, 0, -1, -2))
@@ -176,6 +229,17 @@ class TestTensor:
         ]
         for lam, mu in cases:
             assert dict(tensor_decompose(lam, mu).items()) == klimyk_tensor(lam, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.tuples(st.lists(st.integers(0, 4), min_size=5, max_size=5), st.integers(-5, 5)),
+           mu=st.tuples(st.lists(st.integers(0, 4), min_size=5, max_size=5), st.integers(-5, 5)))
+    def test_symmetric_and_klimyk_property(self, lam, mu):
+        # random GL5-dominant pairs, each with a determinant twist in (1/2)Z
+        lam = Weight(sorted(lam[0], reverse=True)).shifted(Q(lam[1], 2))
+        mu = Weight(sorted(mu[0], reverse=True)).shifted(Q(mu[1], 2))
+        dec = dict(tensor_decompose(lam, mu).items())
+        assert dec == dict(tensor_decompose(mu, lam).items())
+        assert dec == klimyk_tensor(lam, mu)
 
     def test_symmetry(self):
         lam, mu = Weight((2, 1, 0, 0, -1)), Weight((1, 1, 1, 0, 0))
