@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 
 from . import bbw, intersect, mukai, sections
 from .bbw import BundleExprError, make_bundle
-from .intersect import ChernData, CohClass, Q
-from .rootdata import Weight, WeightSyntaxError
+from .intersect import ChernData, ClassSyntaxError, CohClass, Q
+from .rootdata import RationalSyntaxError, Weight, read_rational
 
 parse_bundle_expr = bbw.parse_bundle_expr
 
@@ -347,16 +347,27 @@ def _render_table(res: sections.SectionResult) -> str:
     return "\n".join([f"status: {res.status}", f"h: {res.table}", f"euler: {res.euler}"])
 
 
+def _reject_constant(name: str):
+    raise ClassSyntaxError(f"{name} is not a rational number")
+
+
 def _class_from_text(text: str, model) -> ChernData:
+    """A named class (text starting with an ASCII letter) or a JSON object
+    read by ``CohClass.from_json``; JSON numbers are read exactly from their
+    decimal text (0.1 is 1/10)."""
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-        cls = CohClass.from_json(model, data)
-        rank = cls.coefficient(model.basis[0])
-        if rank.denominator != 1:
-            raise ValueError("JSON class has a non-integral rank component")
-        return ChernData(int(rank), cls)
-    return mukai.named_class(text, model)
+    if text[:1].isascii() and text[:1].isalpha():
+        return mukai.named_class(text, model)
+    try:
+        data = json.loads(text, parse_float=read_rational, parse_int=read_rational,
+                          parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ClassSyntaxError(f"malformed JSON class: {exc}") from None
+    cls = CohClass.from_json(model, data)
+    rank = cls.coefficient(model.basis[0])
+    if rank.denominator != 1:
+        raise ValueError("JSON class has a non-integral rank component")
+    return ChernData(int(rank), cls)
 
 
 def _cmd_bbw(args) -> int:
@@ -525,10 +536,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (BundleExprError, WeightSyntaxError) as exc:
+    except (BundleExprError, RationalSyntaxError, ClassSyntaxError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, sections.SpliceError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, sections.SpliceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,17 @@ The models (all with exact rational coefficients):
   odd-cohomology block in the second Chern class of the universal
   bundle).
 
+Representation.  A model numbers its basis (``index``: label -> position;
+``grades``: codimensions, unit first) and holds one sparse integer
+structure-constant table over one positive denominator ``den``:
+``table[i * n + j]`` lists the (k, c) with e_i e_j = sum (c / den) e_k.  The
+Kunneth class (a, b) sits at ``a * n_right + b`` and ``eta`` after them, so
+product tables, lifts, fiber integrals and the maps between models are index
+arithmetic.  A class holds integer numerators over one positive denominator
+with no common factor, and every ring operation runs on these ints;
+Fractions appear only at the edges (``coeffs``, ``coefficient``,
+``integrate``, the JSON round trip and ``repr``).
+
 Only even polarized classes get basis elements; integrality is never
 asserted beyond what the underlying geometry forces, so coefficients stay
 in Q throughout.  Models are immutable after construction and every
@@ -24,61 +35,101 @@ operation is pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Literal, Optional, Sequence, Union
+from itertools import product
+from math import factorial, gcd, lcm
+from typing import Callable, Literal, Optional, Sequence, Union
+
+from .rootdata import read_rational
 
 Q = Fraction
 
+
+class ClassSyntaxError(ValueError):
+    """Class input that is not an object mapping labels to exact rationals."""
+
+
+# Value kinds CohClass.from_json refuses, named as JSON names them.
+_JSON_KINDS = {bool: "a boolean", type(None): "null", float: "a float", list: "an array",
+               dict: "an object"}
+
 ETA = "eta"
+
+# rows[i] = ((k, c), ...): a sparse integer image of basis class i.
+Rows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _over_common_den(values: Sequence[Union[int, Q]]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True, eq=False)
 class RingModel:
-    """A truncated cohomology ring: graded basis, products, integration."""
+    """A truncated cohomology ring: indexed graded basis, products, integration."""
 
     name: str
     basis: tuple[str, ...]
-    codim: dict[str, int]
-    dim: int
-    mult: dict[tuple[str, str], dict[str, Q]]
-    top: str
+    grades: tuple[int, ...]
+    table: Rows
+    den: int
     factors: Optional[tuple["RingModel", "RingModel"]] = None
+    todd: Optional[tuple[tuple[int, ...], int]] = None   # a factor's Todd class, num over den
+    index: dict[str, int] = field(init=False)
+    codim: dict[str, int] = field(init=False)
+    dim: int = field(init=False)
+    top_index: int = field(init=False)
+    top: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        dim = max(self.grades)
+        object.__setattr__(self, "index", {l: i for i, l in enumerate(self.basis)})
+        object.__setattr__(self, "codim", dict(zip(self.basis, self.grades)))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "top_index", self.grades.index(dim))
+        object.__setattr__(self, "top", self.basis[self.top_index])
 
     def __repr__(self) -> str:
         return f"RingModel({self.name})"
 
 
 class CohClass:
-    """A rational class over a fixed ring model."""
+    """A rational class over a fixed ring model: ``num[i] / den`` on basis class i."""
 
-    __slots__ = ("model", "coeffs")
+    __slots__ = ("model", "num", "den")
 
     def __init__(self, model: RingModel, coeffs: Optional[dict[str, Q]] = None) -> None:
-        self.model = model
-        clean: dict[str, Q] = {}
+        values: list[Union[int, Q]] = [0] * len(model.basis)
         for label, c in (coeffs or {}).items():
-            if label not in model.codim:
+            if label not in model.index:
                 raise ValueError(f"unknown basis class {label!r} on {model.name}")
-            c = Q(c)
-            if c:
-                clean[label] = c
-        self.coeffs = clean
+            values[model.index[label]] = c if type(c) is int else Q(c)
+        self.model = model
+        self.num, self.den = _reduced(*_over_common_den(values))
+
+    @classmethod
+    def _make(cls, model: RingModel, num: Sequence[int], den: int) -> "CohClass":
+        """The class with numerators ``num`` over ``den`` > 0, reduced."""
+        obj = object.__new__(cls)
+        obj.model = model
+        obj.num, obj.den = _reduced(num, den)
+        return obj
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, model: RingModel) -> "CohClass":
-        return cls(model, {})
+        return cls._make(model, (0,) * len(model.basis), 1)
 
     @classmethod
     def unit(cls, model: RingModel) -> "CohClass":
-        return cls(model, {model.basis[0]: Q(1)})
+        return cls._make(model, (1,) + (0,) * (len(model.basis) - 1), 1)
 
     @classmethod
     def basis_class(cls, model: RingModel, label: str, coeff: Union[Q, int, str] = 1) -> "CohClass":
-        return cls(model, {label: Q(coeff)})
+        return cls(model, {label: coeff})
 
     # -- ring operations --------------------------------------------------
 
@@ -88,20 +139,22 @@ class CohClass:
 
     def __add__(self, other: "CohClass") -> "CohClass":
         self._check(other)
-        out = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            out[label] = out.get(label, Q(0)) + c
-        return CohClass(self.model, out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return CohClass._make(self.model,
+                              [a * fa + b * fb for a, b in zip(self.num, other.num)], den)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
 
     def __neg__(self) -> "CohClass":
-        return CohClass(self.model, {k: -v for k, v in self.coeffs.items()})
+        return CohClass._make(self.model, [-a for a in self.num], self.den)
 
     def scale(self, t: Union[Q, int, str]) -> "CohClass":
-        t = Q(t)
-        return CohClass(self.model, {k: t * v for k, v in self.coeffs.items()})
+        if not isinstance(t, (int, Q)):
+            t = Q(t)
+        n = t.numerator
+        return CohClass._make(self.model, [n * a for a in self.num], self.den * t.denominator)
 
     def __rmul__(self, t: Union[Q, int]) -> "CohClass":
         return self.scale(t)
@@ -110,17 +163,18 @@ class CohClass:
         if not isinstance(other, CohClass):
             return self.scale(other)
         self._check(other)
-        out: dict[str, Q] = {}
-        table = self.model.mult
-        for la, ca in self.coeffs.items():
-            for lb, cb in other.coeffs.items():
-                prod = table.get((la, lb))
-                if not prod:
-                    continue
-                c = ca * cb
-                for label, s in prod.items():
-                    out[label] = out.get(label, Q(0)) + c * s
-        return CohClass(self.model, out)
+        model = self.model
+        n = len(model.basis)
+        table = model.table
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        out = [0] * n
+        for i, a in enumerate(self.num):
+            if a:
+                base = i * n
+                for j, b in right:
+                    for k, s in table[base + j]:
+                        out[k] += a * b * s
+        return CohClass._make(model, out, self.den * other.den * model.den)
 
     def __pow__(self, n: int) -> "CohClass":
         acc = CohClass.unit(self.model)
@@ -130,33 +184,40 @@ class CohClass:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CohClass) and self.model is other.model
-                and self.coeffs == other.coeffs)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((id(self.model), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.model), self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.num)
 
     # -- grading ----------------------------------------------------------
 
     def component(self, k: int) -> "CohClass":
-        cod = self.model.codim
-        return CohClass(self.model, {l: c for l, c in self.coeffs.items() if cod[l] == k})
+        grades = self.model.grades
+        return CohClass._make(self.model,
+                              [a if g == k else 0 for a, g in zip(self.num, grades)], self.den)
 
     def coefficient(self, label: str) -> Q:
-        return self.coeffs.get(label, Q(0))
+        i = self.model.index.get(label)
+        return Q(0) if i is None else Q(self.num[i], self.den)
+
+    @property
+    def coeffs(self) -> dict[str, Q]:
+        """The nonzero coefficients by label, in basis order."""
+        return {l: Q(a, self.den) for l, a in zip(self.model.basis, self.num) if a}
 
     def dual(self) -> "CohClass":
         """Componentwise (-1)^codim; eta counts as its even codimension 2."""
-        cod = self.model.codim
-        return CohClass(self.model,
-                        {l: (c if cod[l] % 2 == 0 else -c) for l, c in self.coeffs.items()})
+        grades = self.model.grades
+        return CohClass._make(self.model,
+                              [-a if g % 2 else a for a, g in zip(self.num, grades)], self.den)
 
     def integrate(self) -> Q:
         """Coefficient of the top class (zero when there is no top part)."""
-        return self.coeffs.get(self.model.top, Q(0))
+        return Q(self.num[self.model.top_index], self.den)
 
     # -- serialization ------------------------------------------------------
 
@@ -164,18 +225,34 @@ class CohClass:
         return {l: str(c) for l, c in sorted(self.coeffs.items())}
 
     @classmethod
-    def from_json(cls, model: RingModel, data: dict[str, str]) -> "CohClass":
-        return cls(model, {l: Q(v) for l, v in data.items()})
+    def from_json(cls, model: RingModel, data: object) -> "CohClass":
+        """Read an object mapping labels to exact rationals: strings go through
+        ``rootdata.read_rational``, ints and Fractions pass; any other value
+        (a float, a boolean, null, an array, an object) is a ClassSyntaxError."""
+        if not isinstance(data, dict):
+            raise ClassSyntaxError("a JSON class must be an object mapping labels to rationals")
+        coeffs = {}
+        for label, value in data.items():
+            if isinstance(value, str):
+                value = read_rational(value)
+            elif isinstance(value, bool) or not isinstance(value, (int, Q)):
+                kind = _JSON_KINDS.get(type(value), type(value).__name__)
+                raise ClassSyntaxError(f"coefficient of {label!r} is {kind}, not a rational number")
+            coeffs[label] = value
+        return cls(model, coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
-        parts = []
-        for label in self.model.basis:
-            if label in self.coeffs:
-                c = self.coeffs[label]
-                parts.append(f"{c}*{label}" if label != "1" else f"{c}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{label}" if label != "1" else f"{c}"
+                          for label, c in self.coeffs.items())
+
+
+def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(a // g for a in num), den // g
 
 
 def mul(a: CohClass, b: CohClass) -> CohClass:
@@ -207,31 +284,29 @@ def exp_class(a: CohClass) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
-def _build_factor(name: str, labels: Sequence[str], h_scale: Sequence[Q]) -> RingModel:
+def _build_factor(name: str, labels: Sequence[str], h_scale: Sequence[Q],
+                  todd_class: Sequence[Q]) -> RingModel:
     """A ring generated by H with basis label i representing h_scale[i] * H^i."""
-    dim = len(labels) - 1
-    codim = {l: i for i, l in enumerate(labels)}
-    mult: dict[tuple[str, str], dict[str, Q]] = {}
-    for i, la in enumerate(labels):
-        for j, lb in enumerate(labels):
-            k = i + j
-            if k > dim:
-                mult[(la, lb)] = {}
-            else:
-                # (s_i H^i)(s_j H^j) = (s_i s_j / s_k) * (s_k H^k)
-                mult[(la, lb)] = {labels[k]: h_scale[i] * h_scale[j] / h_scale[k]}
-    return RingModel(name, tuple(labels), codim, dim, mult, labels[-1])
+    n = len(labels)
+    # (s_i H^i)(s_j H^j) = (s_i s_j / s_k) * (s_k H^k) with k = i + j, zero past the top
+    pairs = [(i, j) for i in range(n) for j in range(n) if i + j < n]
+    nums, den = _over_common_den([h_scale[i] * h_scale[j] / h_scale[i + j] for i, j in pairs])
+    entries = {i * n + j: ((i + j, c),) for (i, j), c in zip(pairs, nums)}
+    table = tuple(entries.get(p, ()) for p in range(n * n))
+    return RingModel(name, tuple(labels), tuple(range(n)), table, den,
+                     todd=_reduced(*_over_common_den(todd_class)))
 
 
 @functools.lru_cache(maxsize=None)
 def model_x() -> RingModel:
     # H^2 = 12 L and H L = P: L is H^2/12 and P is H^3/12.
-    return _build_factor("X", ("1", "H", "L", "P"), (Q(1), Q(1), Q(1, 12), Q(1, 12)))
+    return _build_factor("X", ("1", "H", "L", "P"), (Q(1), Q(1), Q(1, 12), Q(1, 12)),
+                         (Q(1), Q(1, 2), Q(3), Q(1)))
 
 
 @functools.lru_cache(maxsize=None)
 def model_s(name: str = "S") -> RingModel:
-    return _build_factor(name, ("1", "H", "P"), (Q(1), Q(1), Q(1, 12)))
+    return _build_factor(name, ("1", "H", "P"), (Q(1), Q(1), Q(1, 12)), (Q(1), Q(0), Q(2)))
 
 
 def model_sdual() -> RingModel:
@@ -240,45 +315,38 @@ def model_sdual() -> RingModel:
 
 @functools.lru_cache(maxsize=None)
 def model_curve() -> RingModel:
-    return _build_factor("C", ("1", "pt"), (Q(1), Q(1)))
-
-
-def _pair(la: str, lb: str) -> str:
-    return f"{la}*{lb}"
+    return _build_factor("C", ("1", "pt"), (Q(1), Q(1)), (Q(1), Q(-6)))
 
 
 @functools.lru_cache(maxsize=None)
 def _product_model(left: RingModel, right: RingModel, eta_square: Optional[Q]) -> RingModel:
-    name = f"{left.name}x{right.name}"
-    labels = [_pair(a, b) for a in left.basis for b in right.basis]
-    codim = {_pair(a, b): left.codim[a] + right.codim[b]
-             for a in left.basis for b in right.basis}
-    dim = left.dim + right.dim
-    mult: dict[tuple[str, str], dict[str, Q]] = {}
-    for a1 in left.basis:
-        for b1 in right.basis:
-            for a2 in left.basis:
-                for b2 in right.basis:
-                    prod: dict[str, Q] = {}
-                    for la, ca in left.mult[(a1, a2)].items():
-                        for lb, cb in right.mult[(b1, b2)].items():
-                            prod[_pair(la, lb)] = ca * cb
-                    mult[(_pair(a1, b1), _pair(a2, b2))] = prod
-    top = _pair(left.top, right.top)
+    nl, nr = len(left.basis), len(right.basis)
+    n_kunneth = nl * nr
+    n = n_kunneth + (eta_square is not None)
+    # Every constant is scaled by q so that eta^2 = (p/q) top fits the integer table.
+    q = 1 if eta_square is None else eta_square.denominator
+    entries: dict[int, tuple[tuple[int, int], ...]] = {}
+    for (a1, a2), (b1, b2) in product(product(range(nl), repeat=2), product(range(nr), repeat=2)):
+        lrow, rrow = left.table[a1 * nl + a2], right.table[b1 * nr + b2]
+        if lrow and rrow:
+            entries[(a1 * nr + b1) * n + a2 * nr + b2] = tuple(
+                (ka * nr + kb, q * ca * cb) for ka, ca in lrow for kb, cb in rrow)
+    den = q * left.den * right.den
+    labels = [f"{a}*{b}" for a in left.basis for b in right.basis]
+    grades = [ga + gb for ga in left.grades for gb in right.grades]
     if eta_square is not None:
+        # eta is fixed by the unit (index 0), killed by positive codimension, and
+        # squares to eta_square times the top Kunneth class.
+        eta = n_kunneth
+        top = left.top_index * nr + right.top_index
         labels.append(ETA)
-        codim[ETA] = 2
-        for label in list(codim):
-            if label == ETA:
-                continue
-            if codim[label] == 0:
-                mult[(label, ETA)] = {ETA: Q(1)}
-                mult[(ETA, label)] = {ETA: Q(1)}
-            else:
-                mult[(label, ETA)] = {}
-                mult[(ETA, label)] = {}
-        mult[(ETA, ETA)] = {top: eta_square} if eta_square else {}
-    return RingModel(name, tuple(labels), codim, dim, mult, top, (left, right))
+        grades.append(2)
+        entries[eta] = entries[eta * n] = ((eta, den),)
+        if eta_square:
+            entries[eta * n + eta] = ((top, eta_square.numerator * left.den * right.den),)
+    table = tuple(entries.get(p, ()) for p in range(n * n))
+    return RingModel(f"{left.name}x{right.name}", tuple(labels), tuple(grades), table, den,
+                     (left, right))
 
 
 def s_times_sdual() -> RingModel:
@@ -321,73 +389,53 @@ def todd(model: RingModel) -> CohClass:
     if model.factors is not None:
         left, right = model.factors
         return lift_left(model, todd(left)) * lift_right(model, todd(right))
-    if model.name == "X":
-        return CohClass(model, {"1": Q(1), "H": Q(1, 2), "L": Q(3), "P": Q(1)})
-    if model.name in ("S", "Sd"):
-        return CohClass(model, {"1": Q(1), "P": Q(2)})
-    if model.name == "C":
-        return CohClass(model, {"1": Q(1), "pt": Q(-6)})
-    raise ValueError(f"no Todd class for {model.name}")
+    if model.todd is None:
+        raise ValueError(f"no Todd class for {model.name}")
+    return CohClass._make(model, *model.todd)
 
 
-# -- product helpers ---------------------------------------------------------
+# -- product helpers: slices of the numerators (both factor units sit at index 0,
+# and eta, past the Kunneth block, never enters a slice) ----------------------
+
+
+def _slots(prod: RingModel, side: str, at: int) -> slice:
+    """Indices of the classes (i, at) for side "left", of (at, j) for side "right"."""
+    nl, nr = len(prod.factors[0].basis), len(prod.factors[1].basis)
+    return slice(at, nl * nr, nr) if side == "left" else slice(at * nr, at * nr + nr)
+
+
+def _lift(prod: RingModel, a: CohClass, side: str) -> CohClass:
+    if a.model is not prod.factors[side == "right"]:
+        raise ValueError(f"class does not live on the {side} factor")
+    num = [0] * len(prod.basis)
+    num[_slots(prod, side, 0)] = a.num
+    return CohClass._make(prod, num, a.den)
 
 
 def lift_left(prod: RingModel, a: CohClass) -> CohClass:
     """Pullback along the projection to the left factor."""
-    left, right = prod.factors
-    if a.model is not left:
-        raise ValueError("class does not live on the left factor")
-    unit = right.basis[0]
-    return CohClass(prod, {_pair(l, unit): c for l, c in a.coeffs.items()})
+    return _lift(prod, a, "left")
 
 
 def lift_right(prod: RingModel, b: CohClass) -> CohClass:
-    left, right = prod.factors
-    if b.model is not right:
-        raise ValueError("class does not live on the right factor")
-    unit = left.basis[0]
-    return CohClass(prod, {_pair(unit, l): c for l, c in b.coeffs.items()})
+    return _lift(prod, b, "right")
 
 
 def integrate_left_fiber(prod: RingModel, a: CohClass) -> CohClass:
     """Pushforward along the projection to the right factor."""
     left, right = prod.factors
-    out: dict[str, Q] = {}
-    for label, c in a.coeffs.items():
-        if label == ETA:
-            continue
-        la, lb = label.split("*", 1)
-        if la == left.top:
-            out[lb] = out.get(lb, Q(0)) + c
-    return CohClass(right, out)
+    return CohClass._make(right, a.num[_slots(prod, "right", left.top_index)], a.den)
 
 
 def integrate_right_fiber(prod: RingModel, a: CohClass) -> CohClass:
     """Pushforward along the projection to the left factor."""
     left, right = prod.factors
-    out: dict[str, Q] = {}
-    for label, c in a.coeffs.items():
-        if label == ETA:
-            continue
-        la, lb = label.split("*", 1)
-        if lb == right.top:
-            out[la] = out.get(la, Q(0)) + c
-    return CohClass(left, out)
+    return CohClass._make(left, a.num[_slots(prod, "left", right.top_index)], a.den)
 
 
 def restrict_to_left_fiber(prod: RingModel, a: CohClass) -> CohClass:
-    """Restrict to (left factor) x (point): keep labels with trivial right part."""
-    left, right = prod.factors
-    unit = right.basis[0]
-    out: dict[str, Q] = {}
-    for label, c in a.coeffs.items():
-        if label == ETA:
-            continue
-        la, lb = label.split("*", 1)
-        if lb == unit:
-            out[la] = c
-    return CohClass(left, out)
+    """Restrict to (left factor) x (point): keep the classes with trivial right part."""
+    return CohClass._make(prod.factors[0], a.num[_slots(prod, "left", 0)], a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +451,7 @@ class ChernData:
     ch: CohClass
 
     def __post_init__(self) -> None:
-        if self.ch.component(0).coefficient(self.ch.model.basis[0]) != self.rank:
+        if self.ch.num[0] != self.rank * self.ch.den:
             raise ValueError("rank and degree-zero Chern character disagree")
 
     @property
@@ -650,112 +698,94 @@ def eta_square_solve() -> Q:
 # ---------------------------------------------------------------------------
 
 
+# (rows, den): basis class i goes to sum (c / den) e_k over rows[i].
+Matrix = tuple[Rows, int]
+
+
+def _apply(model: RingModel, matrix: Matrix, a: CohClass) -> CohClass:
+    rows, den = matrix
+    out = [0] * len(model.basis)
+    for x, row in zip(a.num, rows):
+        if x:
+            for k, c in row:
+                out[k] += x * c
+    return CohClass._make(model, out, a.den * den)
+
+
 @dataclass(frozen=True)
 class GeomMap:
-    """A named map with exact push/pull matrices on the truncated bases."""
+    """A named map with exact push/pull matrices on the indexed bases."""
 
     name: str
     source: RingModel
     target: RingModel
-    push_matrix: dict[str, dict[str, Q]]
-    pull_matrix: dict[str, dict[str, Q]]
+    pushforward: Matrix
+    pullback: Matrix
 
     def push(self, a: CohClass) -> CohClass:
         if a.model is not self.source:
             raise ValueError(f"push along {self.name}: class not on {self.source.name}")
-        return _apply(self.target, self.push_matrix, a)
+        return _apply(self.target, self.pushforward, a)
 
     def pull(self, a: CohClass) -> CohClass:
         if a.model is not self.target:
             raise ValueError(f"pull along {self.name}: class not on {self.target.name}")
-        return _apply(self.source, self.pull_matrix, a)
+        return _apply(self.source, self.pullback, a)
 
 
-def _apply(model: RingModel, matrix: dict[str, dict[str, Q]], a: CohClass) -> CohClass:
-    out: dict[str, Q] = {}
-    for label, c in a.coeffs.items():
-        for l2, s in matrix.get(label, {}).items():
-            out[l2] = out.get(l2, Q(0)) + c * s
-    return CohClass(model, out)
+def _matrix(source: RingModel, target: RingModel, images: dict[str, dict[str, int]]) -> Matrix:
+    """An integer matrix written as label -> {label: coefficient}; absent rows are zero."""
+    return tuple(tuple((target.index[l2], c) for l2, c in images.get(l, {}).items())
+                 for l in source.basis), 1
+
+
+def _matrix_of(fn: Callable[[CohClass], CohClass], source: RingModel) -> Matrix:
+    """The matrix of a linear map on classes, read off the images of the basis classes."""
+    images = [fn(CohClass.basis_class(source, l)) for l in source.basis]
+    den = lcm(*(img.den for img in images))
+    return tuple(tuple((k, a * (den // img.den)) for k, a in enumerate(img.num) if a)
+                 for img in images), den
+
+
+def _kron(a: Matrix, b: Matrix, source: RingModel, target: RingModel) -> Matrix:
+    """Factor matrices tensored between product models; eta dies under every push or pull."""
+    nr = len(target.factors[1].basis)
+    rows = [tuple((ka * nr + kb, ca * cb) for ka, ca in ra for kb, cb in rb)
+            for ra in a[0] for rb in b[0]]
+    rows += [()] * (len(source.basis) - len(rows))
+    return tuple(rows), a[1] * b[1]
 
 
 def _tensor_map(name: str, prod_src: RingModel, prod_tgt: RingModel,
                 left_map: Optional[GeomMap], right_map: Optional[GeomMap]) -> GeomMap:
     """Product of a map on one factor with the identity (or a map) on the other."""
-    src_l, src_r = prod_src.factors
-    tgt_l, tgt_r = prod_tgt.factors
-
-    def factor_push(m: Optional[GeomMap], label: str) -> dict[str, Q]:
-        if m is None:
-            return {label: Q(1)}
-        return m.push_matrix.get(label, {})
-
-    def factor_pull(m: Optional[GeomMap], label: str) -> dict[str, Q]:
-        if m is None:
-            return {label: Q(1)}
-        return m.pull_matrix.get(label, {})
-
-    push: dict[str, dict[str, Q]] = {}
-    for a in src_l.basis:
-        for b in src_r.basis:
-            row: dict[str, Q] = {}
-            for la, ca in factor_push(left_map, a).items():
-                for lb, cb in factor_push(right_map, b).items():
-                    row[_pair(la, lb)] = ca * cb
-            push[_pair(a, b)] = row
-    pull: dict[str, dict[str, Q]] = {}
-    for a in tgt_l.basis:
-        for b in tgt_r.basis:
-            row = {}
-            for la, ca in factor_pull(left_map, a).items():
-                for lb, cb in factor_pull(right_map, b).items():
-                    row[_pair(la, lb)] = ca * cb
-            pull[_pair(a, b)] = row
-    # formal Kunneth classes die under every push or pull
-    if ETA in prod_src.codim:
-        push[ETA] = {}
-    if ETA in prod_tgt.codim:
-        pull[ETA] = {}
-    return GeomMap(name, prod_src, prod_tgt, push, pull)
+    lm = left_map or _identity_map(prod_src.factors[0])
+    rm = right_map or _identity_map(prod_src.factors[1])
+    return GeomMap(name, prod_src, prod_tgt,
+                   _kron(lm.pushforward, rm.pushforward, prod_src, prod_tgt),
+                   _kron(lm.pullback, rm.pullback, prod_tgt, prod_src))
 
 
-def _projection(name: str, prod: RingModel, keep: str) -> GeomMap:
-    left, right = prod.factors
-    push: dict[str, dict[str, Q]] = {}
-    pull: dict[str, dict[str, Q]] = {}
-    for a in left.basis:
-        for b in right.basis:
-            label = _pair(a, b)
-            if keep == "left":
-                push[label] = {a: Q(1)} if b == right.top else {}
-            else:
-                push[label] = {b: Q(1)} if a == left.top else {}
-    if keep == "left":
-        for a in left.basis:
-            pull[a] = {_pair(a, right.basis[0]): Q(1)}
-        tgt = left
-    else:
-        for b in right.basis:
-            pull[b] = {_pair(left.basis[0], b): Q(1)}
-        tgt = right
-    if ETA in prod.codim:
-        push[ETA] = {}
-    return GeomMap(name, prod, tgt, push, pull)
+def _identity_map(model: RingModel) -> GeomMap:
+    eye = _matrix_of(lambda a: a, model)
+    return GeomMap("id", model, model, eye, eye)
+
+
+def _projection(name: str, prod: RingModel, keep: Literal["left", "right"]) -> GeomMap:
+    """Projection to a factor: fiber integration pushes, the lift pulls."""
+    factor, fiber, lift = ((prod.factors[0], integrate_right_fiber, lift_left) if keep == "left"
+                           else (prod.factors[1], integrate_left_fiber, lift_right))
+    return GeomMap(name, prod, factor, _matrix_of(lambda a: fiber(prod, a), prod),
+                   _matrix_of(lambda a: lift(prod, a), factor))
 
 
 @functools.lru_cache(maxsize=None)
 def _maps() -> dict[str, GeomMap]:
     X, S, Sd, C = model_x(), model_s(), model_sdual(), model_curve()
-    alpha = GeomMap(
-        "alpha", S, X,
-        push_matrix={"1": {"H": Q(1)}, "H": {"L": Q(12)}, "P": {"P": Q(1)}},
-        pull_matrix={"1": {"1": Q(1)}, "H": {"H": Q(1)}, "L": {"P": Q(1)}, "P": {}},
-    )
-    beta = GeomMap(
-        "beta", C, Sd,
-        push_matrix={"1": {"H": Q(1)}, "pt": {"P": Q(1)}},
-        pull_matrix={"1": {"1": Q(1)}, "H": {"pt": Q(12)}, "P": {}},
-    )
+    alpha = GeomMap("alpha", S, X, _matrix(S, X, {"1": {"H": 1}, "H": {"L": 12}, "P": {"P": 1}}),
+                    _matrix(X, S, {"1": {"1": 1}, "H": {"H": 1}, "L": {"P": 1}}))
+    beta = GeomMap("beta", C, Sd, _matrix(C, Sd, {"1": {"H": 1}, "pt": {"P": 1}}),
+                   _matrix(Sd, C, {"1": {"1": 1}, "H": {"pt": 12}}))
     XxC, SxS, XxS, SxC = x_times_curve(), s_times_sdual(), x_times_sdual(), s_times_curve()
     table = {
         "alpha": alpha,

@@ -423,6 +423,6 @@ def matrix_rank(rows: list[list[Q]]) -> int:
 def transform_matrix(K: KernelSpec) -> list[list[Q]]:
     """Matrix of the transform on the source model basis, rows = images."""
     src = K.source
-    return [list(transform(K, CohClass.basis_class(src, l)).coeffs.get(l2, Q(0))
+    return [list(transform(K, CohClass.basis_class(src, l)).coefficient(l2)
                  for l2 in K.target.basis)
             for l in src.basis]

@@ -19,6 +19,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,51 @@ RHO = (4, 3, 2, 1, 0)
 _RHO2 = tuple(2 * r for r in RHO)
 
 
-class WeightSyntaxError(ValueError):
+class RationalSyntaxError(ValueError):
+    """Text that is not one ASCII rational number within the size bound."""
+
+
+class WeightSyntaxError(RationalSyntaxError):
     """A weight written in text is not RANK comma-separated rationals."""
+
+
+# Bound on a rational token: its length in characters and the size of its
+# decimal exponent, so a parsed value has at most a few hundred digits.
+_MAX_TOKEN = 256
+
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<int>(?:\d+(?:_\d+)*)?)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     | (?:\.(?P<frac>(?:\d+(?:_\d+)*)?))? (?:e(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+
+
+def read_rational(text: str) -> Fraction:
+    """Read one ASCII rational exactly: an integer, ``p/q``, or a decimal with
+    an optional exponent (``0.1`` is 1/10, ``1.5e3`` is 1500).
+
+    Raises RationalSyntaxError for anything else, for a zero denominator and
+    for a token past the size bound.
+    """
+    if len(text) > _MAX_TOKEN:
+        raise RationalSyntaxError(f"rational longer than {_MAX_TOKEN} characters")
+    m = _RATIONAL.match(text)
+    if m is None:
+        raise RationalSyntaxError(f"not a rational number: {text.strip()!r}")
+    num = int(m["int"] or "0")
+    if m["den"] is not None:
+        den = int(m["den"])
+        if den == 0:
+            raise RationalSyntaxError(f"zero denominator in {text.strip()!r}")
+    else:
+        frac = (m["frac"] or "").replace("_", "")
+        exp = int(m["exp"] or "0") - len(frac)
+        if abs(exp) > _MAX_TOKEN:
+            raise RationalSyntaxError(f"exponent too large in {text.strip()!r}")
+        num = num * 10 ** len(frac) + int(frac or "0")
+        num, den = (num * 10 ** exp, 1) if exp >= 0 else (num, 10 ** -exp)
+    return Fraction(-num if m["sign"] == "-" else num, den)
 
 
 def _halves(twice: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -134,16 +178,10 @@ class Weight:
         parts = text.split(",")
         if len(parts) != RANK:
             raise WeightSyntaxError(f"expected {RANK} comma-separated rationals, got {len(parts)}")
-        coords = []
-        for part in parts:
-            if not part.isascii():
-                raise WeightSyntaxError(f"not a rational number: {part.strip()!r}")
-            try:
-                coords.append(Fraction(part))
-            except ValueError:
-                raise WeightSyntaxError(f"not a rational number: {part.strip()!r}") from None
-            except ZeroDivisionError:
-                raise WeightSyntaxError(f"zero denominator in {part.strip()!r}") from None
+        try:
+            coords = [read_rational(part) for part in parts]
+        except RationalSyntaxError as exc:
+            raise WeightSyntaxError(str(exc)) from None
         return cls(coords)
 
     def __str__(self) -> str:

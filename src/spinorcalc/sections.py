@@ -20,6 +20,7 @@ dual is the (-H)-twist since both have determinant H.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 from typing import Literal, Optional, Sequence, Union
@@ -280,7 +281,8 @@ def _loose_four_term(terms: tuple[Term, ...], dim: int, u: int) -> SectionResult
 # E1y is the rank-2 bundle on the threefold X (codim 7) with c1 = H and
 # c2 = 5L attached to a point y of the dual curve; E2y its analogue on the
 # K3 section S (codim 8).  Both satisfy dual(Ey) = Ey(-H).  U below is the
-# tautological subbundle restricted to the section at hand.
+# tautological subbundle restricted to the section at hand.  The two
+# pipelines the others build on are memoized; their results are frozen.
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +293,7 @@ def _exact_table(expr: str, codim: int, copies: int = 1) -> CohomologyTable:
     return res.table if copies == 1 else res.table.scaled(copies)
 
 
+@functools.lru_cache(maxsize=None)
 def pipeline_e1y_vanishing() -> tuple[SectionResult, SectionResult]:
     """H(X, E1y(-H)) = 0 and H(X, E1y x dual(U)(-H)) = 0.
 
@@ -310,6 +313,7 @@ def pipeline_e1y_vanishing() -> tuple[SectionResult, SectionResult]:
     return plain, tensored
 
 
+@functools.lru_cache(maxsize=None)
 def pipeline_e1y_double_twist() -> SectionResult:
     """H(X, E1y(-2H)) via 0 -> E1y(-2H) -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0.
 

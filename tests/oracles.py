@@ -2,7 +2,10 @@
 
 Deliberately different algorithms from the implementation: the Weyl group
 is enumerated element by element, weight multiplicities come from
-Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula.
+Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula.  The
+cohomology rings are recomputed as truncated polynomial rings in the
+hyperplane variables, from the relations stated in the intersect module
+docstring, with no structure-constant tables.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
+from spinorcalc.intersect import ETA
 from spinorcalc.rootdata import RANK, RHO, Weight
 
 Q = Fraction
@@ -145,3 +150,156 @@ def klimyk_tensor(lam: Weight, mu: Weight) -> dict[Weight, int]:
         target = Weight(tuple(Q(x, 2) - r for x, r in zip(v2sorted, RHO))).shifted(b)
         result[target] = m
     return result
+
+
+# ---------------------------------------------------------------------------
+# ring oracle: truncated polynomial rings in the hyperplane variables
+# ---------------------------------------------------------------------------
+
+# Each factor is Q[h]/(h^(d+1)) and its basis label i stands for scale * h^i.
+# On X, H^2 = 12 L and H L = P, so L = h^2/12 and P = h^3/12; on a K3,
+# H^2 = 12 P, so P = h^2/12; on the curve the generator is the point class.
+FACTOR_BASES = {
+    "X": (("1", Q(1)), ("H", Q(1)), ("L", Q(1, 12)), ("P", Q(1, 12))),
+    "S": (("1", Q(1)), ("H", Q(1)), ("P", Q(1, 12))),
+    "Sd": (("1", Q(1)), ("H", Q(1)), ("P", Q(1, 12))),
+    "C": (("1", Q(1)), ("pt", Q(1))),
+}
+
+# Todd classes and hyperplane classes as stated in the docstring, by label.
+FACTOR_TODD = {"X": {"1": 1, "H": Q(1, 2), "L": 3, "P": 1}, "S": {"1": 1, "P": 2},
+               "Sd": {"1": 1, "P": 2}, "C": {"1": 1, "pt": -6}}
+FACTOR_HYPERPLANE = {"X": {"H": 1}, "S": {"H": 1}, "Sd": {"H": 1}, "C": {"pt": 12}}
+
+
+class PolyRing:
+    """Q[h_1, .., h_r]/(h_i^(d_i + 1)) for r = 1 or 2 factors, plus eta on request.
+
+    An element is a dict from monomials to Fractions; a monomial is the tuple
+    of h-exponents followed by the eta exponent (0 or 1).  eta times the unit
+    is eta, eta times any positive-degree monomial is 0, and eta^2 is
+    ``eta_square`` times the top Kunneth basis class.
+    """
+
+    def __init__(self, factors: tuple[str, ...], eta_square=None) -> None:
+        self.factors = factors
+        self.bases = [FACTOR_BASES[f] for f in factors]
+        self.tops = tuple(len(b) - 1 for b in self.bases)
+        self.eta_square = None if eta_square is None else Q(eta_square)
+        self.labels: dict[str, tuple] = {}
+        for combo in product(*(enumerate(b) for b in self.bases)):
+            label = "*".join(name for _, (name, _) in combo)
+            self.labels[label] = tuple(i for i, _ in combo)
+        if self.eta_square is not None:
+            self.labels[ETA] = None
+
+    def _scale(self, exps: tuple) -> Q:
+        out = Q(1)
+        for basis, i in zip(self.bases, exps):
+            out *= basis[i][1]
+        return out
+
+    def from_labels(self, coeffs: dict) -> dict:
+        poly: dict = {}
+        for label, c in coeffs.items():
+            if label == ETA:
+                mono, value = (0,) * len(self.bases) + (1,), Q(c)
+            else:
+                exps = self.labels[label]
+                mono, value = exps + (0,), Q(c) * self._scale(exps)
+            poly[mono] = poly.get(mono, Q(0)) + value
+        return poly
+
+    def to_labels(self, poly: dict) -> dict:
+        out = {}
+        for mono, c in poly.items():
+            if c == 0:
+                continue
+            if mono[-1] == 1:
+                out[ETA] = c
+            else:
+                exps = mono[:-1]
+                label = "*".join(b[i][0] for b, i in zip(self.bases, exps))
+                out[label] = c / self._scale(exps)
+        return out
+
+    def mul(self, p: dict, q: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                exps = tuple(a + b for a, b in zip(m1[:-1], m2[:-1]))
+                if any(e > d for e, d in zip(exps, self.tops)):
+                    continue
+                eta = m1[-1] + m2[-1]
+                c = c1 * c2
+                if eta and any(exps):
+                    continue
+                if eta == 2:
+                    # eta^2 = eta_square * (top Kunneth class) = eta_square * prod(scale_top h^top)
+                    exps, eta = self.tops, 0
+                    c *= self.eta_square * self._scale(self.tops)
+                mono = exps + (eta,)
+                out[mono] = out.get(mono, Q(0)) + c
+        return {m: c for m, c in out.items() if c != 0}
+
+    def add(self, *polys: dict, scales=None) -> dict:
+        out: dict = {}
+        for k, p in enumerate(polys):
+            t = Q(1) if scales is None else Q(scales[k])
+            for m, c in p.items():
+                out[m] = out.get(m, Q(0)) + t * c
+        return {m: c for m, c in out.items() if c != 0}
+
+    def unit(self) -> dict:
+        return {(0,) * (len(self.bases) + 1): Q(1)}
+
+    def power(self, p: dict, n: int) -> dict:
+        acc = self.unit()
+        for _ in range(n):
+            acc = self.mul(acc, p)
+        return acc
+
+    def exp(self, p: dict) -> dict:
+        """exp of a nilpotent element: the sum of p^n / n! up to the total degree."""
+        terms = [self.add(self.power(p, n), scales=[Q(1, factorial(n))])
+                 for n in range(sum(self.tops) + 1)]
+        return self.add(*terms)
+
+    def lift(self, slot: int, factor_poly: dict) -> dict:
+        """A factor polynomial (one h-exponent) seen on this product at position slot."""
+        out = {}
+        for mono, c in factor_poly.items():
+            exps = [0] * len(self.bases)
+            exps[slot] = mono[0]
+            out[tuple(exps) + (0,)] = c
+        return out
+
+    def todd(self) -> dict:
+        acc = self.unit()
+        for slot, f in enumerate(self.factors):
+            acc = self.mul(acc, self.lift(slot, PolyRing((f,)).from_labels(FACTOR_TODD[f])))
+        return acc
+
+    def hyperplane(self, slot: int) -> dict:
+        f = self.factors[slot]
+        return self.lift(slot, PolyRing((f,)).from_labels(FACTOR_HYPERPLANE[f]))
+
+    def dual(self, p: dict) -> dict:
+        """(-1)^degree on each monomial; eta is even."""
+        return {m: (-c if sum(m[:-1]) % 2 else c) for m, c in p.items()}
+
+    def integrate(self, p: dict) -> Q:
+        """The coefficient of the top Kunneth basis class."""
+        return p.get(self.tops + (0,), Q(0)) / self._scale(self.tops)
+
+    def chi(self, a: dict, b: dict) -> Q:
+        return self.integrate(self.mul(self.mul(self.dual(a), b), self.todd()))
+
+    def rank2_ch(self, c1: dict, c2: dict) -> dict:
+        """ch of a rank-2 bundle from c1, c2 by the closed forms through degree 4."""
+        c1sq = self.mul(c1, c1)
+        ch2 = self.add(c1sq, c2, scales=[Q(1, 2), -1])
+        ch3 = self.add(self.mul(c1sq, c1), self.mul(c1, c2), scales=[Q(1, 6), Q(-1, 2)])
+        ch4 = self.add(self.mul(c1sq, c1sq), self.mul(c1sq, c2), self.mul(c2, c2),
+                       scales=[Q(1, 24), Q(-1, 6), Q(1, 12)])
+        return self.add(self.unit(), c1, ch2, ch3, ch4, scales=[2, 1, 1, 1, 1])

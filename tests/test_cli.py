@@ -131,6 +131,43 @@ class TestFMCommand:
         assert payload["semiorthogonal"] is True
         assert payload["matrix"][0][0] == "1" and payload["matrix"][1][0] == "0"
 
+    def test_float_literal_is_exact_decimal(self, capsys):
+        # 0.1 is read from its decimal text as 1/10, never through a binary float
+        as_float = invoke(capsys, "fm", "--kernel", "phi1-shriek", "--apply", '{"P": 0.1}')
+        as_text = invoke(capsys, "fm", "--kernel", "phi1-shriek", "--apply", '{"P": "1/10"}')
+        assert as_float == as_text == (0, "-1/5 + -6/5*pt (on C)\n", "")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"pt": "1/0"}', "zero denominator in '1/0'"),
+        ('{"pt": "abc"}', "not a rational number: 'abc'"),
+        ('{"pt": 1e400}', "exponent too large in '1e400'"),
+        ('{"pt": "1e3000000"}', "exponent too large in '1e3000000'"),
+        ('{"pt": "' + "1" * 300 + '"}', "rational longer than 256 characters"),
+        ('{"P": true}', "coefficient of 'P' is a boolean, not a rational number"),
+        ('{"P": null}', "coefficient of 'P' is null, not a rational number"),
+        ('{"P": NaN}', "NaN is not a rational number"),
+        ('{"P": -Infinity}', "-Infinity is not a rational number"),
+        ('[1, 2]', "a JSON class must be an object mapping labels to rationals"),
+        ('{"P": ', "malformed JSON class: Expecting value: line 1 column 6 (char 5)"),
+    ], ids=["zero-denominator", "not-rational", "float-exponent", "string-exponent",
+            "long-token", "boolean", "null", "nan", "infinity", "array", "malformed"])
+    def test_json_class_syntax_error_exit_2(self, capsys, text, message):
+        code, out, err = invoke(capsys, "fm", "--kernel", "phi1-shriek", "--apply", text)
+        assert (code, out, err) == (2, "", f"syntax error: {message}\n")
+
+    def test_deeply_nested_json_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "fm", "--kernel", "phi1-shriek", "--apply", "[" * 100000)
+        assert (code, out) == (2, "")
+        assert err.startswith("syntax error: malformed JSON class: ") and err.count("\n") == 1
+
+    def test_non_integral_rank_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "fm", "--kernel", "phi1-shriek", "--apply", '{"1": "1/2"}')
+        assert (code, out, err) == (1, "", "error: JSON class has a non-integral rank component\n")
+
+    def test_long_weight_token_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "bbw", "--weight", "1" * 300 + ",0,0,0,0")
+        assert (code, out, err) == (2, "", "syntax error: rational longer than 256 characters\n")
+
     def test_bad_token_exit_1(self, capsys):
         code, _, err = invoke(capsys, "fm", "--gram", "u,bogus")
         assert code == 1

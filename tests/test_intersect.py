@@ -3,9 +3,11 @@ from fractions import Fraction as Q
 import pytest
 
 from spinorcalc import sections
+from spinorcalc.rootdata import RationalSyntaxError
 from spinorcalc.intersect import (
     ETA,
     ChernData,
+    ClassSyntaxError,
     CohClass,
     chi,
     eta_square_solve,
@@ -320,3 +322,21 @@ def test_serialization_round_trip():
     data = cls.to_json()
     assert CohClass.from_json(prod, data) == cls
     assert all(isinstance(v, str) for v in data.values())
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"pt": "\u0661"}, RationalSyntaxError, "not a rational number: '\u0661'"),
+    ({"pt": "1/0"}, RationalSyntaxError, "zero denominator in '1/0'"),
+    ({"pt": 0.5}, ClassSyntaxError, "coefficient of 'pt' is a float, not a rational number"),
+    ({"pt": True}, ClassSyntaxError, "coefficient of 'pt' is a boolean, not a rational number"),
+    (["pt"], ClassSyntaxError, "a JSON class must be an object mapping labels to rationals"),
+], ids=["non-ascii-digit", "zero-denominator", "float", "boolean", "array"])
+def test_from_json_rejects_inexact_values(data, error, message):
+    with pytest.raises(error) as exc:
+        CohClass.from_json(model_curve(), data)
+    assert str(exc.value) == message
+
+
+def test_from_json_takes_exact_numbers():
+    assert CohClass.from_json(model_curve(), {"1": 2, "pt": Q(-1, 3)}) \
+        == CohClass(model_curve(), {"1": 2, "pt": Q(-1, 3)})

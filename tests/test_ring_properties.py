@@ -1,0 +1,177 @@
+"""The intersect rings on random rational classes: against the polynomial-ring
+oracle of oracles.py, and through the ring axioms, the projection formula,
+the transform adjunctions and the JSON round trip."""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import PolyRing
+from spinorcalc import mukai
+from spinorcalc.intersect import (
+    ETA,
+    CohClass,
+    chi,
+    eta_square_solve,
+    exp_class,
+    geom_map,
+    hyperplane,
+    model_curve,
+    model_s,
+    model_sdual,
+    model_x,
+    s_times_curve,
+    s_times_sdual,
+    todd,
+    universal_ch,
+    x_times_curve,
+    x_times_sdual,
+)
+
+MODELS = {
+    "X": model_x, "S": model_s, "Sd": model_sdual, "C": model_curve,
+    "XxC": x_times_curve, "SxSd": s_times_sdual, "XxSd": x_times_sdual, "SxC": s_times_curve,
+    "XxC-eta7/3": lambda: x_times_curve(eta_square=Q(7, 3)),
+}
+
+PRODUCTS = ("XxC", "SxSd", "XxSd", "SxC")
+MAPS = ("alpha", "beta", "lambda1", "lambda2", "mu1", "mu2", "nu") \
+    + tuple(f"{side}:{prod}" for prod in PRODUCTS for side in "pq")
+
+COEFF = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-24, 24), st.integers(1, 24)))
+SCALAR = st.builds(Q, st.integers(-10, 10), st.integers(1, 10))
+
+
+# eta^2 on the models that carry eta: the paper's value, and a non-integral one
+ETA_SQUARES = {"XxC": Q(14), "XxC-eta7/3": Q(7, 3)}
+
+
+def oracle_for(name: str, model) -> PolyRing:
+    factors = tuple(f.name for f in model.factors) if model.factors else (model.name,)
+    return PolyRing(factors, eta_square=ETA_SQUARES.get(name))
+
+
+def draw_class(data, model) -> CohClass:
+    coeffs = data.draw(st.lists(COEFF, min_size=len(model.basis), max_size=len(model.basis)))
+    return CohClass(model, dict(zip(model.basis, coeffs)))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_products_match_oracle(name, data):
+    model = MODELS[name]()
+    ring = oracle_for(name, model)
+    a, b = draw_class(data, model), draw_class(data, model)
+    assert ring.to_labels(ring.from_labels(a.coeffs)) == a.coeffs
+    assert (a * b).coeffs == ring.to_labels(ring.mul(ring.from_labels(a.coeffs),
+                                                     ring.from_labels(b.coeffs)))
+    assert a.dual().coeffs == ring.to_labels(ring.dual(ring.from_labels(a.coeffs)))
+    assert a.integrate() == ring.integrate(ring.from_labels(a.coeffs))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_todd_matches_oracle(name):
+    model = MODELS[name]()
+    ring = oracle_for(name, model)
+    assert todd(model).coeffs == ring.to_labels(ring.todd())
+
+
+def test_riemann_roch_on_threefold():
+    ring = PolyRing(("X",))
+    X = model_x()
+    for k in range(-5, 6):
+        expected = 2 * k ** 3 + 3 * k ** 2 + 3 * k + 1
+        twist = ring.exp(ring.add(ring.hyperplane(0), scales=[k]))
+        assert ring.chi(ring.unit(), twist) == expected
+        assert chi(X, CohClass.unit(X), exp_class(hyperplane(X).scale(k))) == expected
+
+
+def test_fiber_bundle_self_pairing():
+    # E1y: rank 2 with c1 = H and c2 = 5 L on the threefold
+    ring = PolyRing(("X",))
+    ch = ring.rank2_ch(ring.hyperplane(0), ring.from_labels({"L": 5}))
+    assert ring.chi(ch, ch) == 0
+    e1y = mukai.class_e1y()
+    assert e1y.ch.coeffs == ring.to_labels(ch)
+    assert mukai.euler(model_x(), e1y, e1y) == 0
+
+
+def test_eta_square_from_moduli_pairing():
+    # c1 = H_X + H_C and c2 = (7/12) H_X H_C + 5 L + eta; chi(E, E) is affine in
+    # eta^2 and the moduli value 12 fixes it.
+    def pairing(s):
+        ring = PolyRing(("X", "C"), eta_square=s)
+        hx, hc = ring.hyperplane(0), ring.hyperplane(1)
+        c1 = ring.add(hx, hc)
+        c2 = ring.add(ring.mul(hx, hc), ring.from_labels({"L*1": 5, ETA: 1}),
+                      scales=[Q(7, 12), 1])
+        ch = ring.rank2_ch(c1, c2)
+        return ring, ch, ring.chi(ch, ch)
+
+    v0, v1 = pairing(0)[2], pairing(1)[2]
+    solved = (12 - v0) / (v1 - v0)
+    assert solved == 14 == eta_square_solve()
+    ring, ch, value = pairing(solved)
+    assert value == 12
+    assert universal_ch("XxC").ch.coeffs == ring.to_labels(ch)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_axioms(name, data):
+    model = MODELS[name]()
+    a, b, c = (draw_class(data, model) for _ in range(3))
+    t = data.draw(SCALAR)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert CohClass.unit(model) * a == a
+    assert (a.scale(t) * b) == (a * b).scale(t)
+    assert a - a == CohClass.zero(model)
+
+
+@pytest.mark.parametrize("name", MAPS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_projection_formula(name, data):
+    m = geom_map(name)
+    a, b = draw_class(data, m.target), draw_class(data, m.source)
+    assert m.push(m.pull(a) * b) == a * m.push(b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_threefold_curve_adjunction(data):
+    # chi(Phi1 b, a) = chi(b, Phi1^! a)
+    X, C = model_x(), model_curve()
+    a, b = draw_class(data, X), draw_class(data, C)
+    phi1, phi1s = mukai.kernel_phi1(), mukai.kernel_phi1_shriek()
+    assert mukai.euler(X, mukai.transform(phi1, b), a) \
+        == mukai.euler(C, b, mukai.transform(phi1s, a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_k3_pair_adjunction(data):
+    # chi(Phi2^* a, b) = chi(a, Phi2 b)
+    S, Sd = model_s(), model_sdual()
+    a, b = draw_class(data, S), draw_class(data, Sd)
+    phi2, phi2l = mukai.kernel_phi2(), mukai.kernel_phi2_left()
+    assert mukai.euler(Sd, mukai.transform(phi2l, a), b) \
+        == mukai.euler(S, a, mukai.transform(phi2, b))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_json_round_trip(name, data):
+    model = MODELS[name]()
+    a = draw_class(data, model)
+    payload = a.to_json()
+    assert all(isinstance(v, str) for v in payload.values())
+    assert CohClass.from_json(model, payload) == a
+    assert {label: Q(v) for label, v in payload.items()} == a.coeffs
