@@ -292,6 +292,21 @@ class PolyRing:
         """The coefficient of the top Kunneth basis class."""
         return p.get(self.tops + (0,), Q(0)) / self._scale(self.tops)
 
+    def push(self, slot: int, p: dict) -> dict:
+        """Integrate a two-factor polynomial over the factor at ``slot``.
+
+        The result is a polynomial of the one-factor ring of the other
+        factor.  Only monomials of top degree at ``slot`` survive, and the
+        top basis class scale * h^top integrates to 1; eta pushes to zero.
+        """
+        top, scale = self.tops[slot], self.bases[slot][-1][1]
+        out: dict = {}
+        for mono, c in p.items():
+            if mono[-1] == 0 and mono[slot] == top:
+                key = (mono[1 - slot], 0)
+                out[key] = out.get(key, Q(0)) + c / scale
+        return {m: c for m, c in out.items() if c != 0}
+
     def chi(self, a: dict, b: dict) -> Q:
         return self.integrate(self.mul(self.mul(self.dual(a), b), self.todd()))
 
