@@ -169,7 +169,12 @@ def irreducible(w: Weight) -> HomogBundle:
 #   expr   := factor { "*" factor }
 #   factor := atom [ "(" integer ")" ] | "dual" "(" expr ")" [ "(" integer ")" ]
 #   atom   := "O" | "U"
+# An expression holds at most MAX_FACTORS atoms and nests "dual(" at most
+# MAX_NESTING deep, which also bounds the recursion of parsing and building.
 # ---------------------------------------------------------------------------
+
+MAX_FACTORS = 16
+MAX_NESTING = 16
 
 
 class BundleExprError(ValueError):
@@ -184,6 +189,7 @@ def parse_bundle_expr(text: str) -> tuple:
     """Parse a bundle expression into a tree of ('atom'|'dual'|'twist'|'tensor') nodes."""
     pos = 0
     n = len(text)
+    atoms = 0
 
     def skip_ws() -> None:
         nonlocal pos
@@ -209,18 +215,23 @@ def parse_bundle_expr(text: str) -> tuple:
             raise BundleExprError("expected integer", start)
         return int(text[start:pos])
 
-    def parse_factor() -> tuple:
-        nonlocal pos
+    def parse_factor(nesting: int) -> tuple:
+        nonlocal pos, atoms
         skip_ws()
         if pos >= n:
             raise BundleExprError("expected a bundle factor", pos)
         if text.startswith("dual", pos):
+            if nesting == MAX_NESTING:
+                raise BundleExprError(f"dual nested more than {MAX_NESTING} deep", pos)
             pos += 4
             expect("(")
-            inner = parse_expr()
+            inner = parse_expr(nesting + 1)
             expect(")")
             node: tuple = ("dual", inner)
         elif text[pos] in "OU":
+            if atoms == MAX_FACTORS:
+                raise BundleExprError(f"more than {MAX_FACTORS} factors", pos)
+            atoms += 1
             node = ("atom", text[pos])
             pos += 1
         else:
@@ -233,18 +244,18 @@ def parse_bundle_expr(text: str) -> tuple:
             node = ("twist", node, k)
         return node
 
-    def parse_expr() -> tuple:
+    def parse_expr(nesting: int) -> tuple:
         nonlocal pos
-        node = parse_factor()
+        node = parse_factor(nesting)
         while True:
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1
-                node = ("tensor", node, parse_factor())
+                node = ("tensor", node, parse_factor(nesting))
             else:
                 return node
 
-    tree = parse_expr()
+    tree = parse_expr(0)
     skip_ws()
     if pos != n:
         raise BundleExprError(f"unexpected trailing {text[pos]!r}", pos)

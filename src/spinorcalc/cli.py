@@ -305,7 +305,7 @@ def _suite_conics() -> list[VerifyCheck]:
     taut_c1 = mukai.class_u_plus().chern_classes()[0]
     checks = [
         _check("conic-degree", "deg of the tautological bundle on a conic is -4",
-               Q(-4), intersect.integrate(intersect.mul(taut_c1, conic.ch))),
+               Q(-4), (taut_c1 * conic.ch).integrate()),
         _check("conic-vs-structure", "chi(O_R, O_X) = 1",
                1, mukai.euler(X, conic, mukai.class_o(X))),
         _check("conic-vs-tautological", "chi(O_R, U+) = 1",
@@ -527,11 +527,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first run() rather than at import, which would slow the import.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point returning an exit code (0 ok, 1 computation error, 2 usage)."""
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -6,8 +6,8 @@ The models (all with exact rational coefficients):
   H^2 = 12 L, H L = P (so H^3 = 12 P); Todd class 1 + H/2 + 3L + P.
 * ``S`` and ``Sd``: the degree-12 K3 sections, basis 1, H, P with
   H^2 = 12 P; Todd class 1 + 2P.
-* ``C``: the genus-7 canonical curve, basis 1, pt; the hyperplane class
-  is 12 pt and the Todd class is 1 - 6 pt.
+* ``C``: the genus-7 canonical curve, basis 1, pt with pt = H/12 (the
+  hyperplane class is 12 pt); Todd class 1 - 6 pt.
 * pairwise products carry the Kunneth tensor basis with labels "a*b";
   the threefold-curve product has one extra even class ``eta`` of
   codimension 2, squaring to a rational multiple of the point class and
@@ -21,10 +21,14 @@ structure-constant table over one positive denominator ``den``:
 ``table[i * n + j]`` lists the (k, c) with e_i e_j = sum (c / den) e_k.  The
 Kunneth class (a, b) sits at ``a * n_right + b`` and ``eta`` after them, so
 product tables, lifts, fiber integrals and the maps between models are index
-arithmetic.  A class holds integer numerators over one positive denominator
-with no common factor, and every ring operation runs on these ints;
-Fractions appear only at the edges (``coeffs``, ``coefficient``,
-``integrate``, the JSON round trip and ``repr``).
+arithmetic.  A factor model is generated by its hyperplane class H: basis
+class i is a fixed rational multiple of H^i, and the model carries H and its
+Todd class as data.  Its grade-2 basis class (L on the threefold, P on a K3;
+the curve has none) is its codimension-2 class.  A class holds integer
+numerators over one positive denominator with no common factor, and every
+ring operation runs on these ints; Fractions appear only at the edges
+(``coeffs``, ``coefficient``, ``integrate``, the JSON round trip and
+``repr``).
 
 Only even polarized classes get basis elements; integrality is never
 asserted beyond what the underlying geometry forces, so coefficients stay
@@ -77,6 +81,7 @@ class RingModel:
     den: int
     factors: Optional[tuple["RingModel", "RingModel"]] = None
     todd: Optional[tuple[tuple[int, ...], int]] = None   # a factor's Todd class, num over den
+    hyperplane: Optional[tuple[tuple[int, ...], int]] = None   # a factor's H, num over den
     index: dict[str, int] = field(init=False)
     codim: dict[str, int] = field(init=False)
     dim: int = field(init=False)
@@ -255,16 +260,6 @@ def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(a // g for a in num), den // g
 
 
-def mul(a: CohClass, b: CohClass) -> CohClass:
-    """Product in the truncated ring (same model required)."""
-    return a * b
-
-
-def integrate(a: CohClass) -> Q:
-    """Integration functional: the coefficient of the top class."""
-    return a.integrate()
-
-
 def exp_class(a: CohClass) -> CohClass:
     """exp of a positive-codimension class (nilpotent, so a finite sum)."""
     if a.component(0).coeffs:
@@ -293,8 +288,10 @@ def _build_factor(name: str, labels: Sequence[str], h_scale: Sequence[Q],
     nums, den = _over_common_den([h_scale[i] * h_scale[j] / h_scale[i + j] for i, j in pairs])
     entries = {i * n + j: ((i + j, c),) for (i, j), c in zip(pairs, nums)}
     table = tuple(entries.get(p, ()) for p in range(n * n))
+    # H is (1 / h_scale[1]) times basis class 1: numerators over a denominator, reduced
+    hyperplane = ((0, h_scale[1].denominator) + (0,) * (n - 2), h_scale[1].numerator)
     return RingModel(name, tuple(labels), tuple(range(n)), table, den,
-                     todd=_reduced(*_over_common_den(todd_class)))
+                     todd=_reduced(*_over_common_den(todd_class)), hyperplane=hyperplane)
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,7 +312,7 @@ def model_sdual() -> RingModel:
 
 @functools.lru_cache(maxsize=None)
 def model_curve() -> RingModel:
-    return _build_factor("C", ("1", "pt"), (Q(1), Q(1)), (Q(1), Q(-6)))
+    return _build_factor("C", ("1", "pt"), (Q(1), Q(1, 12)), (Q(1), Q(-6)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,12 +369,10 @@ def x_times_curve(eta_square: Optional[Union[Q, int]] = None) -> RingModel:
 
 
 def hyperplane(model: RingModel) -> CohClass:
-    """The hyperplane class: the basis class H, or 12 pt on the curve."""
-    if "H" in model.codim:
-        return CohClass.basis_class(model, "H")
-    if model.name == "C":
-        return CohClass.basis_class(model, "pt", 12)
-    raise ValueError(f"no hyperplane class on {model.name}")
+    """The hyperplane class of a factor model: the basis class H, or 12 pt on the curve."""
+    if model.hyperplane is None:
+        raise ValueError(f"no hyperplane class on {model.name}")
+    return CohClass._make(model, *model.hyperplane)
 
 
 def point_class(model: RingModel) -> CohClass:
@@ -460,34 +455,16 @@ class ChernData:
 
     def chern_classes(self) -> list[CohClass]:
         """c_1 .. c_dim recovered from the character by Newton's identities."""
-        model = self.model
-        p = [CohClass.zero(model)]
-        for k in range(1, model.dim + 1):
-            p.append(self.ch.component(k).scale(factorial(k)))
-        e = [CohClass.unit(model)]
-        for k in range(1, model.dim + 1):
-            acc = CohClass.zero(model)
-            for i in range(1, k + 1):
-                term = e[k - i] * p[i]
-                acc = acc + (term if i % 2 == 1 else -term)
-            e.append(acc.scale(Q(1, k)))
-        return e[1:]
+        dim = self.model.dim
+        return _newton(self.model, [self.ch.component(k).scale(factorial(k))
+                                    for k in range(1, dim + 1)], power_sums=True)
 
     @classmethod
     def from_chern(cls, rank: int, cs: Sequence[CohClass], model: RingModel) -> "ChernData":
-        e = [CohClass.unit(model)] + list(cs)
-        while len(e) <= model.dim:
-            e.append(CohClass.zero(model))
-        p = [CohClass.zero(model)]
-        for k in range(1, model.dim + 1):
-            acc = e[k].scale(k if k % 2 == 1 else -k)
-            for i in range(1, k):
-                term = e[i] * p[k - i]
-                acc = acc + (term if i % 2 == 1 else -term)
-            p.append(acc)
+        e = list(cs) + [CohClass.zero(model)] * (model.dim - len(cs))
         ch = CohClass.unit(model).scale(rank)
-        for k in range(1, model.dim + 1):
-            ch = ch + p[k].scale(Q(1, factorial(k)))
+        for k, p in enumerate(_newton(model, e, power_sums=False), 1):
+            ch = ch + p.scale(Q(1, factorial(k)))
         return cls(rank, ch)
 
     def dual(self) -> "ChernData":
@@ -502,6 +479,28 @@ class ChernData:
 
     def __sub__(self, other: "ChernData") -> "ChernData":
         return ChernData(self.rank - other.rank, self.ch - other.ch)
+
+
+def _newton(model: RingModel, known: Sequence[CohClass], power_sums: bool) -> list[CohClass]:
+    """Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i between the
+    Chern classes e_k and the power sums p_k = k! ch_k, for k = 1..dim.
+
+    ``known`` lists the p_k when ``power_sums`` is true, else the e_k; the
+    other sequence is returned.
+    """
+    e, p = [CohClass.unit(model)], [CohClass.zero(model)]
+    for k in range(1, model.dim + 1):
+        # the terms i = 1..k-1 of the sum; the term i = k is (-1)^(k-1) p_k
+        mixed = sum(((e[k - i] * p[i]).scale((-1) ** (i - 1)) for i in range(1, k)),
+                    CohClass.zero(model))
+        sign = (-1) ** (k - 1)
+        if power_sums:
+            p.append(known[k - 1])
+            e.append((mixed + p[k].scale(sign)).scale(Q(1, k)))
+        else:
+            e.append(known[k - 1])
+            p.append((e[k].scale(k) - mixed).scale(sign))
+    return e[1:] if power_sums else p[1:]
 
 
 def chi(model: RingModel, a: CohClass, b: CohClass) -> Q:
@@ -556,31 +555,49 @@ def tautological_ch(model: RingModel) -> ChernData:
     raise ValueError(f"no tautological bundle on {model.name}")
 
 
-def _solve_linear(equations: list[tuple[Q, Q, Q]]) -> tuple[Q, Q]:
-    """Solve {ea * x + eb * y = rhs} exactly; reject under/overdetermined systems."""
-    pivot = None
-    for i, (ea, eb, rhs) in enumerate(equations):
-        if ea != 0:
-            pivot = i
-            break
-    if pivot is None:
-        raise ArithmeticError("underdetermined ansatz: no equation involves the first unknown")
-    ea, eb, rhs = equations[pivot]
-    reduced = []
-    for j, (fa, fb, frhs) in enumerate(equations):
-        if j == pivot:
+def _kernel_basis(rows: list[list[Q]]) -> list[list[Q]]:
+    """Kernel of a small exact rational matrix by Gaussian elimination."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
             continue
-        factor = fa / ea
-        reduced.append((fb - factor * eb, frhs - factor * rhs))
-    second = next(((b, r) for b, r in reduced if b != 0), None)
-    if second is None:
-        raise ArithmeticError("underdetermined ansatz: one independent equation only")
-    y = second[1] / second[0]
-    x = (rhs - eb * y) / ea
-    for fa, fb, frhs in equations:
-        if fa * x + fb * y != frhs:
-            raise ArithmeticError("inconsistent ansatz equations")
-    return x, y
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(n) if c not in pivots]
+    ker = []
+    for fc in free:
+        vec = [Q(0)] * n
+        vec[fc] = Q(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        ker.append(vec)
+    return ker
+
+
+def _solve_linear(rows: list[list[Q]]) -> tuple[Q, Q]:
+    """Solve {ea * x + eb * y = rhs} exactly, given as the rows [ea, eb, -rhs]:
+    their kernel must be the one line through (x, y, 1)."""
+    ker = _kernel_basis(rows)
+    if len(ker) > 1:
+        raise ArithmeticError("underdetermined ansatz equations")
+    if not ker or ker[0][2] == 0:
+        raise ArithmeticError("inconsistent ansatz equations")
+    x, y, w = ker[0]
+    return x / w, y / w
 
 
 def universal_ch(product: Union[str, RingModel] = "XxC") -> ChernData:
@@ -591,7 +608,8 @@ def universal_ch(product: Union[str, RingModel] = "XxC") -> ChernData:
     twice the odd part; c2 is a Kunneth ansatz (cross term, fiber terms,
     plus eta on the threefold product) solved from the rank-2 identity
     3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise constraint that
-    each fiber has c2 = 5 times the point or line class.
+    each fiber has c2 = 5 times the point or line class.  The character is
+    rebuilt from c1 and c2, and its odd part must match.
     """
     if isinstance(product, RingModel):
         prod = product
@@ -617,54 +635,33 @@ def _universal_ch_on(prod: RingModel) -> ChernData:
     ch3 = diff.component(3).scale(Q(1, 2))
 
     cross = lift_left(prod, hyperplane(left)) * lift_right(prod, hyperplane(right))
-    fiber2_left = lift_left(prod, _codim2_class(left))
-    if left.name == "X":
-        fiber_term = fiber2_left
-        extra = CohClass.basis_class(prod, ETA)
-    else:
-        fiber_term = fiber2_left + lift_right(prod, _codim2_class(right))
-        extra = CohClass.zero(prod)
+    fiber_term = CohClass.zero(prod)
+    for lift, factor in ((lift_left, left), (lift_right, right)):
+        if 2 in factor.grades:
+            fiber_term = fiber_term + lift(prod, _codim2_class(factor))
+    extra = CohClass.basis_class(prod, ETA) if ETA in prod.index else CohClass.zero(prod)
 
-    # c2 = a * cross + b * fiber_term + extra; equations are linear in (a, b).
-    target = ch1 * ch1 * ch1 - ch3.scale(6)
-
-    def identity_defect(a: Q, b: Q) -> CohClass:
-        c2 = cross.scale(a) + fiber_term.scale(b) + extra
-        return (ch1 * c2).scale(3) - target
-
-    d00 = identity_defect(Q(0), Q(0))
-    d10 = identity_defect(Q(1), Q(0)) - d00
-    d01 = identity_defect(Q(0), Q(1)) - d00
-    labels = set(d00.coeffs) | set(d10.coeffs) | set(d01.coeffs)
-    equations = [(d10.coefficient(l), d01.coefficient(l), -d00.coefficient(l)) for l in labels]
-
-    fiber_target = _codim2_class(left).scale(5)   # fibers are rank 2 with c2 = 5 points/lines
-    f00 = restrict_to_left_fiber(prod, extra) - fiber_target
-    f10 = restrict_to_left_fiber(prod, cross)
-    f01 = restrict_to_left_fiber(prod, fiber_term)
-    for l in set(f00.coeffs) | set(f10.coeffs) | set(f01.coeffs):
-        equations.append((f10.coefficient(l), f01.coefficient(l), -f00.coefficient(l)))
-
-    a, b = _solve_linear(equations)
+    # c2 = a * cross + b * fiber_term + extra.  Each condition below is affine in
+    # (a, b) and listed as its (a, b, constant) parts: the rank-2 identity
+    # 3 c1 c2 = ch1^3 - 6 ch3, and c2 = 5 points/lines on every left fiber.
+    conditions = [
+        ((ch1 * cross).scale(3), (ch1 * fiber_term).scale(3),
+         (ch1 * extra).scale(3) - ch1 * ch1 * ch1 + ch3.scale(6)),
+        (restrict_to_left_fiber(prod, cross), restrict_to_left_fiber(prod, fiber_term),
+         restrict_to_left_fiber(prod, extra) - _codim2_class(left).scale(5)),
+    ]
+    a, b = _solve_linear([[part.coefficient(l) for part in parts]
+                          for parts in conditions for l in parts[0].model.basis])
     c2 = cross.scale(a) + fiber_term.scale(b) + extra
-    ch2 = (ch1 * ch1).scale(Q(1, 2)) - c2
-    ch4 = (ch1 ** 4 - (ch1 * ch1 * c2).scale(4) + (c2 * c2).scale(2)).scale(Q(1, 24))
-    ch = CohClass.unit(prod).scale(2) + ch1 + ch2 + ch3 + ch4
-
-    data = ChernData(2, ch)
-    recon = ChernData.from_chern(2, [ch1, c2], prod)
-    if recon.ch != ch:
+    data = ChernData.from_chern(2, [ch1, c2], prod)
+    if data.ch.component(1) != ch1 or data.ch.component(3) != ch3:
         raise ArithmeticError("rank-2 character does not match its Chern classes")
     return data
 
 
 def _codim2_class(model: RingModel) -> CohClass:
-    """The line class L on the threefold, the point class on a surface."""
-    if model.name == "X":
-        return CohClass.basis_class(model, "L")
-    if model.name in ("S", "Sd"):
-        return CohClass.basis_class(model, "P")
-    raise ValueError(f"no codimension-2 class on {model.name}")
+    """The grade-2 basis class: the line class L on the threefold, the point class on a K3."""
+    return CohClass.basis_class(model, model.basis[model.grades.index(2)])
 
 
 _UNIVERSAL_SELF_PAIRING = Q(12)

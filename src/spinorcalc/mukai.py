@@ -24,6 +24,7 @@ from .intersect import (
     ChernData,
     CohClass,
     RingModel,
+    _kernel_basis,
     chi,
     exp_class,
     hyperplane,
@@ -97,14 +98,10 @@ def transform(K: KernelSpec, a: Union[ChernData, CohClass]) -> CohClass:
     ca = _as_class(a)
     if ca.model is not K.source:
         raise ValueError(f"class lives on {ca.model.name}, kernel source is {K.source.name}")
-    f = ca * todd(K.source)
-    if K.source_side == "left":
-        w = lift_left(K.product, f) * K.kernel_ch
-        out = integrate_left_fiber(K.product, w)
-    else:
-        w = lift_right(K.product, f) * K.kernel_ch
-        out = integrate_right_fiber(K.product, w)
-    return out.scale(K.shift_parity)
+    lift, integrate_fiber = ((lift_left, integrate_left_fiber) if K.source_side == "left"
+                             else (lift_right, integrate_right_fiber))
+    w = lift(K.product, ca * todd(K.source)) * K.kernel_ch
+    return integrate_fiber(K.product, w).scale(K.shift_parity)
 
 
 def _twist_exp(prod: RingModel, left_mult: int, right_mult: int) -> CohClass:
@@ -160,10 +157,8 @@ def kernel_e_tilde() -> KernelSpec:
     pairing map, so the transform splits into a chi(a, O)-multiple of
     U_-(-H_Sd) and a chi(a, U_+)-multiple of O(-H_Sd).
     """
-    prod = x_times_sdual()
-    ch_tilde = lift_left(prod, tautological_ch(model_x()).dual().ch) \
-        - lift_right(prod, tautological_ch(model_sdual()).ch)
-    return KernelSpec("E-tilde", prod, "left", ch_tilde * _twist_exp(prod, -1, -1), -1)
+    ch = _kernel_u_piece("quotient-dual").kernel_ch - _kernel_u_piece("sub").kernel_ch
+    return KernelSpec("E-tilde", x_times_sdual(), "left", ch, -1)
 
 
 def _kernel_u_piece(which: Literal["sub", "quotient-dual"]) -> KernelSpec:
@@ -373,51 +368,14 @@ def orthogonal_complement_basis() -> list[ChernData]:
     ker = _kernel_basis(rows)
     out = []
     for vec in ker:
-        cls = CohClass(m, {l: c for l, c in zip(m.basis, vec)})
-        rank = cls.coefficient("1")
-        if rank.denominator != 1:
-            vec = [c * rank.denominator for c in vec]
-            cls = CohClass(m, {l: c for l, c in zip(m.basis, vec)})
+        cls = CohClass(m, dict(zip(m.basis, vec)))
+        cls = cls.scale(cls.coefficient("1").denominator)   # an integral rank
         out.append(ChernData(int(cls.coefficient("1")), cls))
     return out
 
 
-def _kernel_basis(rows: list[list[Q]]) -> list[list[Q]]:
-    """Kernel of a small exact rational matrix by Gaussian elimination."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n) if c not in pivots]
-    ker = []
-    for fc in free:
-        vec = [Q(0)] * n
-        vec[fc] = Q(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        ker.append(vec)
-    return ker
-
-
 def matrix_rank(rows: list[list[Q]]) -> int:
-    n = len(rows[0]) if rows else 0
-    return n - len(_kernel_basis([list(r) for r in rows])) if rows else 0
+    return len(rows[0]) - len(_kernel_basis(rows)) if rows else 0
 
 
 def transform_matrix(K: KernelSpec) -> list[list[Q]]:

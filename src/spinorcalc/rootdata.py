@@ -264,38 +264,6 @@ def weyl_dim(lam: Weight, flavor: Flavor) -> int:
     return _weyl_dim_cached(lam.twice, flavor)
 
 
-@dataclass(frozen=True)
-class DecompositionMultiset:
-    """A multiset of GL5-dominant weights with positive multiplicities."""
-
-    entries: tuple[tuple[Weight, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for w, m in self.entries:
-            if not is_dominant(w, "GL5"):
-                raise ValueError(f"{w} is not GL5-dominant")
-            if m <= 0:
-                raise ValueError(f"non-positive multiplicity {m} for {w}")
-            if w in seen:
-                raise ValueError(f"duplicate entry {w}")
-            seen.add(w)
-        ordered = tuple(sorted(self.entries, key=lambda e: e[0].twice, reverse=True))
-        object.__setattr__(self, "entries", ordered)
-
-    def items(self) -> tuple[tuple[Weight, int], ...]:
-        return self.entries
-
-    def __iter__(self) -> Iterator[tuple[Weight, int]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def total_dim(self, flavor: Flavor = "GL5") -> int:
-        return sum(m * weyl_dim(w, flavor) for w, m in self.entries)
-
-
 @functools.lru_cache(maxsize=None)
 def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Littlewood-Richardson expansion of two partitions, truncated to 5 rows.
@@ -338,12 +306,13 @@ def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple
     return tuple(sorted(out.items(), reverse=True))
 
 
-def tensor_decompose(lam: Weight, mu: Weight) -> DecompositionMultiset:
+def tensor_decompose(lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     """GL5 tensor product decomposition (rational determinant twists allowed).
 
     Splits a determinant power off both factors so they become partitions,
     expands by the Littlewood-Richardson rule, discards anything with more
-    than five rows, and restores the combined twist.
+    than five rows, and restores the combined twist.  Returns the
+    (weight, multiplicity) pairs, weights distinct and in decreasing order.
     """
     for w in (lam, mu):
         if not is_dominant(w, "GL5"):
@@ -356,6 +325,5 @@ def tensor_decompose(lam: Weight, mu: Weight) -> DecompositionMultiset:
     # c^nu_{lam,mu} = c^nu_{mu,lam}: key the LR cache on the pair with the
     # larger partition first, so the smaller one's letters are placed
     pair = sorted((lam_p, mu_p), key=lambda p: (sum(p), p), reverse=True)
-    return DecompositionMultiset(tuple(
-        (Weight._from_twice(tuple(2 * c + shift for c in shape)), m)
-        for shape, m in _lr_products(*pair)))
+    return tuple((Weight._from_twice(tuple(2 * c + shift for c in shape)), m)
+                 for shape, m in _lr_products(*pair))

@@ -28,21 +28,7 @@ from typing import Literal, Optional, Sequence, Union
 from .bbw import DIM, CohomologyTable, HomogBundle, O, cohomology, make_bundle
 
 
-class Unknown:
-    """Marker for the one unknown term of a splice problem."""
-
-    _instance: Optional["Unknown"] = None
-
-    def __new__(cls) -> "Unknown":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-UNKNOWN = Unknown()
+UNKNOWN = None   # marks the one unknown term of a splice problem
 
 Status = Literal["exact", "euler_only"]
 
@@ -127,7 +113,7 @@ def section_hilbert(codim: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-Term = Union[CohomologyTable, Unknown]
+Term = Optional[CohomologyTable]
 
 
 @dataclass(frozen=True)
@@ -144,16 +130,15 @@ class SpliceProblem:
     def __post_init__(self) -> None:
         if len(self.terms) not in (3, 4):
             raise ValueError("splice supports sequences of length 3 or 4")
-        unknowns = [i for i, t in enumerate(self.terms) if isinstance(t, Unknown)]
-        if len(unknowns) != 1:
+        if self.terms.count(UNKNOWN) != 1:
             raise ValueError("exactly one UNKNOWN term is required")
         for t in self.terms:
-            if not isinstance(t, (Unknown, CohomologyTable)):
+            if t is not UNKNOWN and not isinstance(t, CohomologyTable):
                 raise TypeError(f"bad splice term {t!r}")
 
     @property
     def unknown_index(self) -> int:
-        return next(i for i, t in enumerate(self.terms) if isinstance(t, Unknown))
+        return self.terms.index(UNKNOWN)
 
 
 def _les_ranks(tables: Sequence[Optional[dict[int, int]]], dim: int):
@@ -201,9 +186,9 @@ def _les_ranks(tables: Sequence[Optional[dict[int, int]]], dim: int):
     return t, lo, hi
 
 
-def _solve_ses(tables: Sequence[Optional[CohomologyTable]], dim: int) -> SectionResult:
+def _solve_ses(tables: Sequence[Term], dim: int) -> SectionResult:
     """Solve a 3-term exact sequence with one unknown sheaf."""
-    u = next(i for i, tab in enumerate(tables) if tab is None)
+    u = tables.index(UNKNOWN)
     dicts = [None if tab is None else tab.dims() for tab in tables]
     t, lo, hi = _les_ranks(dicts, dim)
 
@@ -222,10 +207,7 @@ def _solve_ses(tables: Sequence[Optional[CohomologyTable]], dim: int) -> Section
         if lo_dim:
             low_table[d] = lo_dim
 
-    signs = [1, -1, 1]
-    euler_known = sum(s * tab.euler for s, tab in zip(signs, tables) if tab is not None)
-    euler = -signs[u] * euler_known  # alternating sum over the sequence is zero
-
+    euler = _unknown_euler(tables)
     if forced:
         return SectionResult("exact", CohomologyTable.from_dict(low_table), euler)
     return SectionResult("euler_only", CohomologyTable.from_dict(high_table), euler)
@@ -238,33 +220,34 @@ def splice_solve(problem: SpliceProblem) -> SectionResult:
     u = problem.unknown_index
 
     if len(terms) == 3:
-        return _solve_ses([None if isinstance(t, Unknown) else t for t in terms], dim)
+        return _solve_ses(terms, dim)
 
     a, b, c, d = terms
     # Split 0 -> A -> B -> C -> D -> 0 through M = image(B -> C):
     #   0 -> A -> B -> M -> 0   and   0 -> M -> C -> D -> 0.
     if u in (0, 1):
-        mid = _solve_ses([None, c, d], dim)  # type: ignore[list-item]
+        mid = _solve_ses([UNKNOWN, c, d], dim)
         if not mid.exact:
-            return _loose_four_term(terms, dim, u)
+            return _loose_four_term(terms, dim)
         first = [a, b, mid.table]
-        first[u] = None  # type: ignore[call-overload]
-        return _solve_ses(first, dim)  # type: ignore[arg-type]
-    mid = _solve_ses([a, b, None], dim)  # type: ignore[list-item]
+        first[u] = UNKNOWN
+        return _solve_ses(first, dim)
+    mid = _solve_ses([a, b, UNKNOWN], dim)
     if not mid.exact:
-        return _loose_four_term(terms, dim, u)
+        return _loose_four_term(terms, dim)
     second = [mid.table, c, d]
-    second[u - 1] = None  # type: ignore[call-overload]
-    return _solve_ses(second, dim)  # type: ignore[arg-type]
+    second[u - 1] = UNKNOWN
+    return _solve_ses(second, dim)
 
 
-def _loose_four_term(terms: tuple[Term, ...], dim: int, u: int) -> SectionResult:
+def _unknown_euler(terms: Sequence[Term]) -> int:
+    """Euler number of the unknown term: the alternating sum over an exact sequence is zero."""
+    known = sum((-1) ** i * t.euler for i, t in enumerate(terms) if t is not UNKNOWN)
+    return (-1) ** (terms.index(UNKNOWN) + 1) * known
+
+
+def _loose_four_term(terms: tuple[Term, ...], dim: int) -> SectionResult:
     """Euler-only fallback when the intermediate sheaf is not forced."""
-    signs = [1, -1, 1, -1]
-    euler_known = sum(
-        s * t.euler for s, t in zip(signs, terms) if isinstance(t, CohomologyTable)
-    )
-    euler = -signs[u] * euler_known
     neighbors: dict[int, int] = {}
     for t in terms:
         if isinstance(t, CohomologyTable):
@@ -272,7 +255,7 @@ def _loose_four_term(terms: tuple[Term, ...], dim: int, u: int) -> SectionResult
                 for d2 in (deg - 1, deg, deg + 1):
                     if 0 <= d2 <= dim:
                         neighbors[d2] = neighbors.get(d2, 0) + n
-    return SectionResult("euler_only", CohomologyTable.from_dict(neighbors), euler)
+    return SectionResult("euler_only", CohomologyTable.from_dict(neighbors), _unknown_euler(terms))
 
 
 # ---------------------------------------------------------------------------

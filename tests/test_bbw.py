@@ -5,6 +5,8 @@ import pytest
 
 from spinorcalc.bbw import (
     DIM,
+    MAX_FACTORS,
+    MAX_NESTING,
     BundleExprError,
     CohomologyTable,
     HomogBundle,
@@ -89,6 +91,15 @@ class TestParser:
     def test_whitespace_insensitive(self):
         assert make_bundle(" dual( U ) * U ( -1 ) ") == make_bundle("dual(U)*U(-1)")
 
+    def test_size_bounds(self):
+        deepest = make_bundle("dual(" * MAX_NESTING + "U" + ")" * MAX_NESTING)
+        assert deepest == (U().dual() if MAX_NESTING % 2 else U())
+        assert make_bundle("*".join(["O"] * MAX_FACTORS)) == O()
+        with pytest.raises(BundleExprError, match="nested"):
+            parse_bundle_expr("dual(" * (MAX_NESTING + 1) + "U" + ")" * (MAX_NESTING + 1))
+        with pytest.raises(BundleExprError, match="factors"):
+            parse_bundle_expr("*".join(["O"] * (MAX_FACTORS + 1)))
+
     def test_dual_of_twist(self):
         assert make_bundle("dual(U(1))") == make_bundle("dual(U)(-1)")
 
@@ -152,3 +163,15 @@ def test_table_invariants():
         CohomologyTable.from_dict({-1: 1})
     with pytest.raises(ValueError):
         CohomologyTable.from_dict({0: -1})
+
+
+def test_homog_bundle_validation():
+    zero, vector = Weight((0,) * 5), Weight((1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not GL5-dominant"):
+        HomogBundle(((Weight((0, 1, 0, 0, 0)), 1),))
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        HomogBundle(((zero, -1),))
+    merged = HomogBundle(((zero, 1), (vector, 2), (zero, 2)))
+    assert merged.summands == ((vector, 2), (zero, 3))
+    assert HomogBundle(((zero, 0), (vector, 1), (vector, -1))).summands == ()
+    assert HomogBundle(((zero, 2), (vector, 0))).summands == ((zero, 2),)

@@ -67,6 +67,20 @@ class TestBBWCommand:
         assert invoke(capsys, "nonsense")[0] == 2
 
 
+class TestExpressionBounds:
+    # unbounded, DEEP overflows the recursion of the parser and WIDE that of the builder
+    DEEP = "dual(" * 600 + "O" + ")" * 600
+    WIDE = "*".join(["O"] * 1500)
+
+    @pytest.mark.parametrize("expr", [DEEP, WIDE], ids=["nested-dual", "many-factors"])
+    @pytest.mark.parametrize("command", [["bbw"], ["koszul", "--codim", "7"]])
+    def test_over_bound_exit_2(self, capsys, command, expr):
+        code, out, err = invoke(capsys, *command, "--bundle", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("syntax error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestKoszulCommand:
     def test_vanishing_table(self, capsys):
         code, out, _ = invoke(capsys, "koszul", "--codim", "7", "--bundle", "U")

@@ -250,9 +250,8 @@ class TestLattice:
 
     def test_conic_class_derivation(self):
         # degree 2 against the hyperplane and arithmetic genus zero
-        from spinorcalc.intersect import integrate
         conic = class_o_conic()
-        assert integrate(hyperplane(X()) * conic.ch) == 2
+        assert (hyperplane(X()) * conic.ch).integrate() == 2
         assert conic.ch.component(3).is_zero
 
 

@@ -114,6 +114,10 @@ class TestSplice:
         with pytest.raises(ValueError):
             SpliceProblem((T({}), T({})), dim=3)
 
+    def test_rejects_non_table_term(self):
+        with pytest.raises(TypeError):
+            SpliceProblem((UNKNOWN, T({}), {0: 1}), dim=3)
+
     def test_all_zero_forcing(self):
         res = splice_solve(SpliceProblem((T({}), T({}), UNKNOWN), dim=4))
         assert res.exact and res.table.is_zero and res.euler == 0
