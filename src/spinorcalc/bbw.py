@@ -170,11 +170,13 @@ def irreducible(w: Weight) -> HomogBundle:
 #   factor := atom [ "(" integer ")" ] | "dual" "(" expr ")" [ "(" integer ")" ]
 #   atom   := "O" | "U"
 # An expression holds at most MAX_FACTORS atoms and nests "dual(" at most
-# MAX_NESTING deep, which also bounds the recursion of parsing and building.
+# MAX_NESTING deep, which also bounds the recursion of parsing and building;
+# a twist is at most MAX_TWIST in absolute value.
 # ---------------------------------------------------------------------------
 
 MAX_FACTORS = 16
 MAX_NESTING = 16
+MAX_TWIST = 1000
 
 
 class BundleExprError(ValueError):
@@ -183,6 +185,17 @@ class BundleExprError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at offset {position}")
         self.position = position
+
+
+def read_twist(text: str, offset: int = 0) -> int:
+    """An optionally signed run of ASCII digits, at most MAX_TWIST in absolute value;
+    the digits are counted before ``int()``.  Errors are BundleExprErrors at ``offset``."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise BundleExprError("expected integer", offset)
+    if len(digits.lstrip("0")) > len(str(MAX_TWIST)) or abs(int(text)) > MAX_TWIST:
+        raise BundleExprError(f"twist outside [-{MAX_TWIST}, {MAX_TWIST}]", offset)
+    return int(text)
 
 
 def parse_bundle_expr(text: str) -> tuple:
@@ -211,9 +224,7 @@ def parse_bundle_expr(text: str) -> tuple:
             pos += 1
         while pos < n and text[pos] in "0123456789":
             pos += 1
-        if pos == start or not text[start:pos].lstrip("+-"):
-            raise BundleExprError("expected integer", start)
-        return int(text[start:pos])
+        return read_twist(text[start:pos], start)
 
     def parse_factor(nesting: int) -> tuple:
         nonlocal pos, atoms

@@ -24,10 +24,8 @@ from typing import Callable, Optional, Sequence
 
 from . import bbw, intersect, mukai, sections
 from .bbw import BundleExprError, make_bundle
-from .intersect import ChernData, ClassSyntaxError, CohClass, Q
+from .intersect import ClassSyntaxError, CohClass, Q
 from .rootdata import RationalSyntaxError, Weight, read_rational
-
-parse_bundle_expr = bbw.parse_bundle_expr
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +139,15 @@ def _suite_cherns() -> list[VerifyCheck]:
     taut = intersect.tautological_ch(X)
     expected = CohClass(X, {"1": Q(5), "H": Q(-2), "P": Q(1)})
     checks.append(_check("tautological-character", "ch(U) = 5 - 2H + P on the threefold",
-                         str(expected), str(taut.ch)))
-    chi_taut = mukai.euler(X, mukai.class_o(X), taut)
-    chi_taut_dual = mukai.euler(X, mukai.class_o(X),
+                         str(expected), str(taut)))
+    chi_taut = mukai.euler(X, CohClass.unit(X), taut)
+    chi_taut_dual = mukai.euler(X, CohClass.unit(X),
                                 taut.dual().twisted(-1 * intersect.hyperplane(X)))
     checks.append(_check("tautological-chi", "chi(X, U) = 0 and chi(X, dual(U)(-1)) = 0",
                          "0, 0", f"{chi_taut}, {chi_taut_dual}"))
 
     prod = intersect.x_times_curve()
-    e1 = intersect.universal_ch("XxC")
+    e1 = intersect.universal_ch(prod)
     c1, c2 = e1.chern_classes()[:2]
     expected_c1 = intersect.lift_left(prod, intersect.hyperplane(X)) \
         + intersect.lift_right(prod, intersect.hyperplane(intersect.model_curve()))
@@ -164,11 +162,11 @@ def _suite_cherns() -> list[VerifyCheck]:
                          "c2 = (7/12) H_X H_C + 5 L + eta",
                          str(expected_c2), str(c2)))
     checks.append(_check("universal-ch3-threefold-curve", "ch_3 = -P/2",
-                         str(CohClass(prod, {"P*1": Q(-1, 2)})), str(e1.ch.component(3))))
+                         str(CohClass(prod, {"P*1": Q(-1, 2)})), str(e1.component(3))))
 
     Ssurf, Sd = intersect.model_s(), intersect.model_sdual()
     prod2 = intersect.s_times_sdual()
-    e2 = intersect.universal_ch("SxS")
+    e2 = intersect.universal_ch(prod2)
     c2_2 = e2.chern_classes()[1]
     expected_c2_2 = (intersect.lift_left(prod2, intersect.hyperplane(Ssurf))
                      * intersect.lift_right(prod2, intersect.hyperplane(Sd))).scale(Q(7, 12)) \
@@ -186,7 +184,7 @@ def _suite_cherns() -> list[VerifyCheck]:
     uni0 = intersect.universal_ch(no_eta)
     checks.append(_check("eta-square-guard",
                          "dropping eta breaks the moduli self-pairing (-20/3 instead of 12)",
-                         str(Q(-20, 3)), str(intersect.chi(no_eta, uni0.ch, uni0.ch))))
+                         str(Q(-20, 3)), str(intersect.chi(no_eta, uni0, uni0))))
 
     checks.append(_check("todd-threefold", "chi(O_X) = 1 from the Todd class",
                          1, intersect.todd(X).integrate()))
@@ -212,23 +210,47 @@ def _glueing_defect_below_top() -> bool:
     S = intersect.model_s()
     C = intersect.model_curve()
 
-    e1 = intersect.universal_ch("XxC").ch
+    e1 = intersect.universal_ch(XxC)
     hx = intersect.lift_left(XxC, intersect.hyperplane(X))
     hc = intersect.lift_right(XxC, intersect.hyperplane(C))
     w1 = e1 * intersect.exp_class(-1 * hx) \
         * (CohClass.unit(XxC) - hc.scale(Q(1, 2)))  # normal-bundle Todd inverse
-    push1 = intersect.pushpull("mu1", "push", w1)
+    push1 = intersect.geom_map("mu1").push(w1)
 
-    e2 = intersect.universal_ch("SxS").ch
+    e2 = intersect.universal_ch(SxS)
     hs = intersect.lift_left(SxS, intersect.hyperplane(S))
     td_inv = CohClass.unit(SxS) - hs.scale(Q(1, 2)) \
         + intersect.lift_left(SxS, CohClass.basis_class(S, "P", 2))
-    push2 = intersect.pushpull("mu2", "push", e2 * td_inv)
+    push2 = intersect.geom_map("mu2").push(e2 * td_inv)
 
-    glued = intersect.lift_left(XxS, intersect.tautological_ch(X).dual().ch) \
-        - intersect.lift_right(XxS, intersect.tautological_ch(intersect.model_sdual()).ch)
+    glued = intersect.lift_left(XxS, intersect.tautological_ch(X).dual()) \
+        - intersect.lift_right(XxS, intersect.tautological_ch(intersect.model_sdual()))
     defect = glued - push1 - push2
     return all(defect.component(k).is_zero for k in range(0, XxS.dim))
+
+
+def _gram_collection(tokens: str) -> tuple[list[tuple[str, CohClass]], list[int]]:
+    """The threefold classes named by comma-separated tokens, with their block
+    sizes: u is U+, o is O_X, and phi1 the block (Phi1(O_C), Phi1(pt))."""
+    collection: list[tuple[str, CohClass]] = []
+    blocks: list[int] = []
+    for token in tokens.split(","):
+        token = token.strip()
+        if token == "u":
+            collection.append(("U+", mukai.class_u_plus()))
+            blocks.append(1)
+        elif token == "o":
+            collection.append(("O_X", CohClass.unit(intersect.model_x())))
+            blocks.append(1)
+        elif token == "phi1":
+            phi1_o = mukai.transform(mukai.kernel_phi1(), CohClass.unit(intersect.model_curve()))
+            if phi1_o.rank != 0:
+                raise ValueError(f"Phi1(O_C) has rank {phi1_o.rank}, not 0")
+            collection += [("Phi1(O_C)", phi1_o), ("Phi1(pt)", mukai.class_e1y())]
+            blocks.append(2)
+        else:
+            raise ValueError(f"unknown gram token {token!r} (use u, o, phi1)")
+    return collection, blocks
 
 
 def _suite_sod() -> list[VerifyCheck]:
@@ -242,26 +264,20 @@ def _suite_sod() -> list[VerifyCheck]:
                0, mukai.euler(Ssurf, mukai.class_e2y(), mukai.class_e2y())),
     ]
 
-    phi1 = mukai.kernel_phi1()
-    coll = [
-        ("U+", mukai.class_u_plus()),
-        ("O_X", mukai.class_o(X)),
-        ("Phi1(O_C)", ChernData(0, mukai.transform(phi1, mukai.class_o(C)))),
-        ("Phi1(pt)", mukai.class_e1y()),
-    ]
-    report = mukai.gram(coll, X, blocks=(1, 1, 2))
+    coll, blocks = _gram_collection("u,o,phi1")
+    report = mukai.gram(coll, X, blocks=blocks)
     checks.append(_check("gram-block-triangular",
                          "no pairings backwards from later blocks", True, report.semiorthogonal))
     checks.append(_check("gram-unit-diagonal", "the two exceptional classes are unit lines",
                          (True, True), report.exceptional[:2]))
-    rows = [[data.ch.coefficient(l) for l in X.basis] for _, data in coll]
+    rows = [[cls.coefficient(l) for l in X.basis] for _, cls in coll]
     checks.append(_check("gram-span", "the four classes span the rank-4 even lattice",
                          4, mukai.matrix_rank(rows)))
 
-    mutated = mukai.mutate(mukai.class_u_plus(), mukai.class_o(X), X, "right")
+    mutated = mukai.mutate(mukai.class_u_plus(), CohClass.unit(X), X, "right")
     checks.append(_check("mutation", "right mutation of U through O is dual(U)",
-                         str(mukai.class_u_plus_dual().ch), str(mutated.ch)))
-    mreport = mukai.gram([("O_X", mukai.class_o(X)), ("mutated", mutated)], X)
+                         str(mukai.class_u_plus_dual()), str(mutated)))
+    mreport = mukai.gram([("O_X", CohClass.unit(X)), ("mutated", mutated)], X)
     checks.append(_check("mutated-pair", "the mutated pair is numerically exceptional",
                          (True, (True, True)), (mreport.semiorthogonal, mreport.exceptional)))
 
@@ -273,7 +289,7 @@ def _suite_sod() -> list[VerifyCheck]:
                          "glued-kernel transform kills the orthogonal complement",
                          True, all(mukai.commdiag_check(v) for v in basis)))
 
-    phi1s = mukai.kernel_phi1_shriek()
+    phi1, phi1s = mukai.kernel_phi1(), mukai.kernel_phi1_shriek()
     adj_ok = all(
         mukai.euler(X, mukai.transform(phi1, CohClass.basis_class(C, lb)), ca)
         == mukai.euler(C, CohClass.basis_class(C, lb), mukai.transform(phi1s, ca))
@@ -305,9 +321,9 @@ def _suite_conics() -> list[VerifyCheck]:
     taut_c1 = mukai.class_u_plus().chern_classes()[0]
     checks = [
         _check("conic-degree", "deg of the tautological bundle on a conic is -4",
-               Q(-4), (taut_c1 * conic.ch).integrate()),
+               Q(-4), (taut_c1 * conic).integrate()),
         _check("conic-vs-structure", "chi(O_R, O_X) = 1",
-               1, mukai.euler(X, conic, mukai.class_o(X))),
+               1, mukai.euler(X, conic, CohClass.unit(X))),
         _check("conic-vs-tautological", "chi(O_R, U+) = 1",
                1, mukai.euler(X, conic, mukai.class_u_plus())),
         _check("conic-right-transform", "the right adjoint sends a conic to a length-2 cycle",
@@ -351,7 +367,7 @@ def _reject_constant(name: str):
     raise ClassSyntaxError(f"{name} is not a rational number")
 
 
-def _class_from_text(text: str, model) -> ChernData:
+def _class_from_text(text: str, model) -> CohClass:
     """A named class (text starting with an ASCII letter) or a JSON object
     read by ``CohClass.from_json``; JSON numbers are read exactly from their
     decimal text (0.1 is 1/10)."""
@@ -367,7 +383,7 @@ def _class_from_text(text: str, model) -> ChernData:
     rank = cls.coefficient(model.basis[0])
     if rank.denominator != 1:
         raise ValueError("JSON class has a non-integral rank component")
-    return ChernData(int(rank), cls)
+    return cls
 
 
 def _cmd_bbw(args) -> int:
@@ -385,9 +401,7 @@ def _cmd_bbw(args) -> int:
 
 
 def _cmd_koszul(args) -> int:
-    bundle = make_bundle(args.bundle)
-    if args.twist:
-        bundle = bundle.twist(args.twist)
+    bundle = make_bundle(args.bundle).twist(bbw.read_twist(args.twist.strip()))
     res = sections.section_cohomology(bundle, args.codim)
     print(json.dumps(res.to_json()) if args.format == "json" else _render_table(res))
     return 0
@@ -401,26 +415,26 @@ def _cmd_chern(args) -> int:
         print(json.dumps(out) if args.format == "json" else f"eta^2 = {val}")
         return 0
     if target == "U-plus":
-        data = intersect.tautological_ch(intersect.model_x())
+        ch = intersect.tautological_ch(intersect.model_x())
     elif target == "E1":
-        data = intersect.universal_ch("XxC")
+        ch = intersect.universal_ch(intersect.x_times_curve())
     elif target == "E2":
-        data = intersect.universal_ch("SxS")
+        ch = intersect.universal_ch(intersect.s_times_sdual())
     else:
         raise ValueError(f"unknown chern target {target!r}")
-    cs = data.chern_classes()
+    cs = ch.chern_classes()
     payload = {
-        "model": data.model.name,
-        "rank": data.rank,
-        "ch": data.ch.to_json(),
+        "model": ch.model.name,
+        "rank": ch.rank,
+        "ch": ch.to_json(),
         "c": {str(i + 1): c.to_json() for i, c in enumerate(cs) if not c.is_zero},
     }
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        print(f"model: {data.model.name}")
-        print(f"rank: {data.rank}")
-        print(f"ch: {data.ch}")
+        print(f"model: {ch.model.name}")
+        print(f"rank: {ch.rank}")
+        print(f"ch: {ch}")
         for i, c in enumerate(cs):
             if not c.is_zero:
                 print(f"c{i + 1}: {c}")
@@ -429,27 +443,8 @@ def _cmd_chern(args) -> int:
 
 def _cmd_fm(args) -> int:
     if args.gram:
-        X = intersect.model_x()
-        C = intersect.model_curve()
-        collection: list[tuple[str, ChernData]] = []
-        blocks: list[int] = []
-        for token in args.gram.split(","):
-            token = token.strip()
-            if token == "u":
-                collection.append(("U+", mukai.class_u_plus()))
-                blocks.append(1)
-            elif token == "o":
-                collection.append(("O_X", mukai.class_o(X)))
-                blocks.append(1)
-            elif token == "phi1":
-                phi1 = mukai.kernel_phi1()
-                collection.append(
-                    ("Phi1(O_C)", ChernData(0, mukai.transform(phi1, mukai.class_o(C)))))
-                collection.append(("Phi1(pt)", mukai.class_e1y()))
-                blocks.append(2)
-            else:
-                raise ValueError(f"unknown gram token {token!r} (use u, o, phi1)")
-        report = mukai.gram(collection, X, blocks=blocks)
+        collection, blocks = _gram_collection(args.gram)
+        report = mukai.gram(collection, intersect.model_x(), blocks=blocks)
         if args.format == "json":
             print(json.dumps(report.to_json()))
         else:
@@ -503,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_koszul = sub.add_parser("koszul", help="cohomology on a linear section")
     p_koszul.add_argument("--codim", type=int, required=True)
     p_koszul.add_argument("--bundle", required=True)
-    p_koszul.add_argument("--twist", type=int, default=0)
+    p_koszul.add_argument("--twist", default="0")
     p_koszul.add_argument("--format", choices=("json", "table"), default="table")
     p_koszul.set_defaults(func=_cmd_koszul)
 

@@ -28,7 +28,9 @@ the curve has none) is its codimension-2 class.  A class holds integer
 numerators over one positive denominator with no common factor, and every
 ring operation runs on these ints; Fractions appear only at the edges
 (``coeffs``, ``coefficient``, ``integrate``, the JSON round trip and
-``repr``).
+``repr``).  A class is also the one type for Chern data: its ``rank`` is the
+integral degree-zero coefficient, and ``chern_classes`` and ``from_chern``
+convert through Newton's identities.
 
 Only even polarized classes get basis elements; integrality is never
 asserted beyond what the underlying geometry forces, so coefficients stay
@@ -136,6 +138,15 @@ class CohClass:
     def basis_class(cls, model: RingModel, label: str, coeff: Union[Q, int, str] = 1) -> "CohClass":
         return cls(model, {label: coeff})
 
+    @classmethod
+    def from_chern(cls, rank: int, cs: Sequence["CohClass"], model: RingModel) -> "CohClass":
+        """The character of the given rank with Chern classes c_1, c_2, ... = ``cs``."""
+        e = list(cs) + [cls.zero(model)] * (model.dim - len(cs))
+        ch = cls.unit(model).scale(rank)
+        for k, p in enumerate(_newton(model, e, power_sums=False), 1):
+            ch = ch + p.scale(Q(1, factorial(k)))
+        return ch
+
     # -- ring operations --------------------------------------------------
 
     def _check(self, other: "CohClass") -> None:
@@ -187,6 +198,10 @@ class CohClass:
             acc = acc * self
         return acc
 
+    def twisted(self, line: "CohClass") -> "CohClass":
+        """Tensor with the line bundle of first Chern class ``line``."""
+        return self * exp_class(line)
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CohClass) and self.model is other.model
                 and self.num == other.num and self.den == other.den)
@@ -223,6 +238,20 @@ class CohClass:
     def integrate(self) -> Q:
         """Coefficient of the top class (zero when there is no top part)."""
         return Q(self.num[self.model.top_index], self.den)
+
+    @property
+    def rank(self) -> int:
+        """The degree-zero coefficient; a ValueError unless it is an integer."""
+        rank, rest = divmod(self.num[0], self.den)
+        if rest:
+            raise ValueError(f"non-integral rank {Q(self.num[0], self.den)}")
+        return rank
+
+    def chern_classes(self) -> list["CohClass"]:
+        """c_1 .. c_dim recovered from the character by Newton's identities."""
+        dim = self.model.dim
+        return _newton(self.model, [self.component(k).scale(factorial(k))
+                                    for k in range(1, dim + 1)], power_sums=True)
 
     # -- serialization ------------------------------------------------------
 
@@ -434,51 +463,8 @@ def restrict_to_left_fiber(prod: RingModel, a: CohClass) -> CohClass:
 
 
 # ---------------------------------------------------------------------------
-# Chern data and conversions
+# Newton's identities and the pairing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChernData:
-    """A rank together with a Chern character class."""
-
-    rank: int
-    ch: CohClass
-
-    def __post_init__(self) -> None:
-        if self.ch.num[0] != self.rank * self.ch.den:
-            raise ValueError("rank and degree-zero Chern character disagree")
-
-    @property
-    def model(self) -> RingModel:
-        return self.ch.model
-
-    def chern_classes(self) -> list[CohClass]:
-        """c_1 .. c_dim recovered from the character by Newton's identities."""
-        dim = self.model.dim
-        return _newton(self.model, [self.ch.component(k).scale(factorial(k))
-                                    for k in range(1, dim + 1)], power_sums=True)
-
-    @classmethod
-    def from_chern(cls, rank: int, cs: Sequence[CohClass], model: RingModel) -> "ChernData":
-        e = list(cs) + [CohClass.zero(model)] * (model.dim - len(cs))
-        ch = CohClass.unit(model).scale(rank)
-        for k, p in enumerate(_newton(model, e, power_sums=False), 1):
-            ch = ch + p.scale(Q(1, factorial(k)))
-        return cls(rank, ch)
-
-    def dual(self) -> "ChernData":
-        return ChernData(self.rank, self.ch.dual())
-
-    def twisted(self, line: CohClass) -> "ChernData":
-        """Tensor with the line bundle of first Chern class ``line``."""
-        return ChernData(self.rank, self.ch * exp_class(line))
-
-    def __add__(self, other: "ChernData") -> "ChernData":
-        return ChernData(self.rank + other.rank, self.ch + other.ch)
-
-    def __sub__(self, other: "ChernData") -> "ChernData":
-        return ChernData(self.rank - other.rank, self.ch - other.ch)
 
 
 def _newton(model: RingModel, known: Sequence[CohClass], power_sums: bool) -> list[CohClass]:
@@ -514,7 +500,7 @@ def chi(model: RingModel, a: CohClass, b: CohClass) -> Q:
 
 
 @functools.lru_cache(maxsize=None)
-def _tautological_x() -> ChernData:
+def _tautological_x() -> CohClass:
     """ch of the tautological subbundle on the threefold: 5 - 2H + P.
 
     Rank 5 and c1 = -2H are forced by the polarization (the restriction to
@@ -533,13 +519,13 @@ def _tautological_x() -> ChernData:
     c1 = chi(m, CohClass.unit(m), base + probe) - c0
     t = -c0 / c1
     ch = base + probe.scale(t)
-    dual_tw = ChernData(5, ch).dual().twisted(-1 * h).ch
+    dual_tw = ch.dual().twisted(-1 * h)
     if chi(m, CohClass.unit(m), dual_tw) != 0:
         raise ArithmeticError("tautological normalization failed the dual-twist check")
-    return ChernData(5, ch)
+    return ch
 
 
-def tautological_ch(model: RingModel) -> ChernData:
+def tautological_ch(model: RingModel) -> CohClass:
     """ch of the tautological rank-5 subbundle restricted to a factor model.
 
     The threefold carries the plus side, the curve and dual K3 the minus
@@ -548,10 +534,13 @@ def tautological_ch(model: RingModel) -> ChernData:
     if model is model_x():
         return _tautological_x()
     if model is model_s():
-        return ChernData(5, pushpull("alpha", "pull", _tautological_x().ch))
+        ch = geom_map("alpha").pull(_tautological_x())
+        if ch.rank != 5:
+            raise ValueError(f"the restriction to {model.name} has rank {ch.rank}, not 5")
+        return ch
     if model in (model_sdual(), model_curve()):
         # Minus side: same polarization data, truncated to the factor.
-        return ChernData(5, CohClass.unit(model).scale(5) - hyperplane(model).scale(2))
+        return CohClass.unit(model).scale(5) - hyperplane(model).scale(2)
     raise ValueError(f"no tautological bundle on {model.name}")
 
 
@@ -600,34 +589,22 @@ def _solve_linear(rows: list[list[Q]]) -> tuple[Q, Q]:
     return x / w, y / w
 
 
-def universal_ch(product: Union[str, RingModel] = "XxC") -> ChernData:
-    """Chern data of the universal rank-2 bundle on a moduli product.
-
-    ``product`` is "XxC" (threefold times dual curve) or "SxS" (K3 times
-    dual K3).  The odd character comes from ch(dual U_+) - ch(U_-) being
-    twice the odd part; c2 is a Kunneth ansatz (cross term, fiber terms,
-    plus eta on the threefold product) solved from the rank-2 identity
-    3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise constraint that
-    each fiber has c2 = 5 times the point or line class.  The character is
-    rebuilt from c1 and c2, and its odd part must match.
-    """
-    if isinstance(product, RingModel):
-        prod = product
-    elif product == "XxC":
-        prod = x_times_curve()
-    elif product == "SxS":
-        prod = s_times_sdual()
-    else:
-        raise ValueError(f"unknown product {product!r}")
-    return _universal_ch_on(prod)
-
-
 @functools.lru_cache(maxsize=None)
-def _universal_ch_on(prod: RingModel) -> ChernData:
+def universal_ch(prod: RingModel) -> CohClass:
+    """ch of the universal rank-2 bundle on a moduli product model.
+
+    ``prod`` is ``x_times_curve(...)`` (threefold times dual curve) or
+    ``s_times_sdual()`` (K3 times dual K3).  The odd character comes from
+    ch(dual U_+) - ch(U_-) being twice the odd part; c2 is a Kunneth ansatz
+    (cross term, fiber terms, plus eta on the threefold product) solved from
+    the rank-2 identity 3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise
+    constraint that each fiber has c2 = 5 times the point or line class.  The
+    character is rebuilt from c1 and c2, and its odd part must match.
+    """
     left, right = prod.factors
     plus = tautological_ch(left).dual()     # ch(dual U_+) on the left factor
     minus = tautological_ch(right)          # ch(U_-) on the right factor
-    diff = lift_left(prod, plus.ch) - lift_right(prod, minus.ch)
+    diff = lift_left(prod, plus) - lift_right(prod, minus)
     for k in range(0, prod.dim + 1, 2):
         if not diff.component(k).is_zero:
             raise ArithmeticError("defining difference has a nonzero even part")
@@ -653,10 +630,10 @@ def _universal_ch_on(prod: RingModel) -> ChernData:
     a, b = _solve_linear([[part.coefficient(l) for part in parts]
                           for parts in conditions for l in parts[0].model.basis])
     c2 = cross.scale(a) + fiber_term.scale(b) + extra
-    data = ChernData.from_chern(2, [ch1, c2], prod)
-    if data.ch.component(1) != ch1 or data.ch.component(3) != ch3:
+    ch = CohClass.from_chern(2, [ch1, c2], prod)
+    if ch.component(1) != ch1 or ch.component(3) != ch3:
         raise ArithmeticError("rank-2 character does not match its Chern classes")
-    return data
+    return ch
 
 
 def _codim2_class(model: RingModel) -> CohClass:
@@ -682,8 +659,8 @@ def eta_square_solve() -> Q:
     values = []
     for e in (Q(0), Q(1)):
         prod = x_times_curve(eta_square=e)
-        uni = _universal_ch_on(prod)
-        values.append(chi(prod, uni.ch, uni.ch))
+        uni = universal_ch(prod)
+        values.append(chi(prod, uni, uni))
     slope = values[1] - values[0]
     if slope == 0:
         raise ArithmeticError("pairing does not see eta^2; the eta term is missing from c2")
@@ -800,22 +777,13 @@ def _maps() -> dict[str, GeomMap]:
 
 
 def geom_map(name: str) -> GeomMap:
-    maps = _maps()
-    if name not in maps:
-        raise ValueError(f"unknown map {name!r}; known: {sorted(maps)}")
-    return maps[name]
-
-
-def pushpull(name: str, direction: Literal["push", "pull"], a: CohClass) -> CohClass:
-    """Apply a named embedding or projection to a class.
+    """A named embedding or projection; apply it with ``.push`` or ``.pull``.
 
     Embeddings: alpha (K3 into threefold), beta (curve into dual K3),
     lambda1, lambda2, mu1, mu2, nu (their products).  Projections are
     named ``p:<product>`` (to the left factor) and ``q:<product>``.
     """
-    m = geom_map(name)
-    if direction == "push":
-        return m.push(a)
-    if direction == "pull":
-        return m.pull(a)
-    raise ValueError(f"direction must be push or pull, got {direction!r}")
+    maps = _maps()
+    if name not in maps:
+        raise ValueError(f"unknown map {name!r}; known: {sorted(maps)}")
+    return maps[name]

@@ -1,7 +1,7 @@
 """Euler pairings, numerical integral transforms, semiorthogonality
 reports, class-level mutations, and the conic computations.
 
-Everything works on Chern data over the truncated ring models.  The
+Everything works on Chern characters (CohClass) over the ring models.  The
 pairing is chi(a, b) = integral of ch(a)^dual ch(b) td.  A kernel on a
 product induces the transform
 
@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence
 
 from .intersect import (
-    ChernData,
     CohClass,
     RingModel,
     _kernel_basis,
@@ -48,16 +47,11 @@ from .intersect import (
 Q = Fraction
 
 
-def _as_class(a: Union[ChernData, CohClass]) -> CohClass:
-    return a.ch if isinstance(a, ChernData) else a
-
-
-def euler(model: RingModel, a: Union[ChernData, CohClass], b: Union[ChernData, CohClass]) -> Q:
+def euler(model: RingModel, a: CohClass, b: CohClass) -> Q:
     """Euler pairing chi(a, b) on the model."""
-    ca, cb = _as_class(a), _as_class(b)
-    if ca.model is not model or cb.model is not model:
+    if a.model is not model or b.model is not model:
         raise ValueError("classes do not live on the stated model")
-    return chi(model, ca, cb)
+    return chi(model, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +87,13 @@ class KernelSpec:
         return self.product.factors[1 if self.source_side == "left" else 0]
 
 
-def transform(K: KernelSpec, a: Union[ChernData, CohClass]) -> CohClass:
+def transform(K: KernelSpec, a: CohClass) -> CohClass:
     """Apply the numerical transform of the kernel to a class on its source."""
-    ca = _as_class(a)
-    if ca.model is not K.source:
-        raise ValueError(f"class lives on {ca.model.name}, kernel source is {K.source.name}")
+    if a.model is not K.source:
+        raise ValueError(f"class lives on {a.model.name}, kernel source is {K.source.name}")
     lift, integrate_fiber = ((lift_left, integrate_left_fiber) if K.source_side == "left"
                              else (lift_right, integrate_right_fiber))
-    w = lift(K.product, ca * todd(K.source)) * K.kernel_ch
+    w = lift(K.product, a * todd(K.source)) * K.kernel_ch
     return integrate_fiber(K.product, w).scale(K.shift_parity)
 
 
@@ -115,14 +108,14 @@ def _twist_exp(prod: RingModel, left_mult: int, right_mult: int) -> CohClass:
 def kernel_phi1() -> KernelSpec:
     """Transform from the dual-curve classes to the threefold: kernel E1."""
     prod = x_times_curve()
-    return KernelSpec("phi1", prod, "right", universal_ch("XxC").ch, 1)
+    return KernelSpec("phi1", prod, "right", universal_ch(prod), 1)
 
 
 @functools.lru_cache(maxsize=None)
 def kernel_phi1_left() -> KernelSpec:
     """Left adjoint of phi1: kernel E1(-2H_X - H_C) with an odd shift."""
     prod = x_times_curve()
-    k = universal_ch("XxC").ch * _twist_exp(prod, -2, -1)
+    k = universal_ch(prod) * _twist_exp(prod, -2, -1)
     return KernelSpec("phi1-left", prod, "left", k, -1)
 
 
@@ -130,7 +123,7 @@ def kernel_phi1_left() -> KernelSpec:
 def kernel_phi1_shriek() -> KernelSpec:
     """Right adjoint of phi1: kernel dual(E1)(H_C) with an odd shift."""
     prod = x_times_curve()
-    k = universal_ch("XxC").ch.dual() * _twist_exp(prod, 0, 1)
+    k = universal_ch(prod).dual() * _twist_exp(prod, 0, 1)
     return KernelSpec("phi1-shriek", prod, "left", k, -1)
 
 
@@ -138,14 +131,14 @@ def kernel_phi1_shriek() -> KernelSpec:
 def kernel_phi2() -> KernelSpec:
     """Transform from the dual-K3 classes to the K3: kernel E2."""
     prod = s_times_sdual()
-    return KernelSpec("phi2", prod, "right", universal_ch("SxS").ch, 1)
+    return KernelSpec("phi2", prod, "right", universal_ch(prod), 1)
 
 
 @functools.lru_cache(maxsize=None)
 def kernel_phi2_left() -> KernelSpec:
     """Left adjoint of phi2: kernel E2(-H_S - H_Sd) with an even shift."""
     prod = s_times_sdual()
-    k = universal_ch("SxS").ch * _twist_exp(prod, -1, -1)
+    k = universal_ch(prod) * _twist_exp(prod, -1, -1)
     return KernelSpec("phi2-left", prod, "left", k, 1)
 
 
@@ -165,9 +158,9 @@ def _kernel_u_piece(which: Literal["sub", "quotient-dual"]) -> KernelSpec:
     """The two split pieces of the glued kernel, for the factorization check."""
     prod = x_times_sdual()
     if which == "sub":
-        ch = lift_right(prod, tautological_ch(model_sdual()).ch)
+        ch = lift_right(prod, tautological_ch(model_sdual()))
     else:
-        ch = lift_left(prod, tautological_ch(model_x()).dual().ch)
+        ch = lift_left(prod, tautological_ch(model_x()).dual())
     return KernelSpec(f"u-piece-{which}", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
 
 
@@ -186,70 +179,66 @@ KERNELS = {
 # ---------------------------------------------------------------------------
 
 
-def class_o(model: RingModel) -> ChernData:
-    return ChernData(1, CohClass.unit(model))
-
-
-def class_point(model: RingModel) -> ChernData:
-    return ChernData(0, point_class(model))
-
-
-def class_u_plus() -> ChernData:
+def class_u_plus() -> CohClass:
     return tautological_ch(model_x())
 
 
-def class_u_plus_dual() -> ChernData:
+def class_u_plus_dual() -> CohClass:
     return tautological_ch(model_x()).dual()
 
 
-def class_o_conic() -> ChernData:
+def class_o_conic() -> CohClass:
     """Structure class of a conic: a degree-2 rational curve, chi(O) = 1.
 
     Arithmetic genus zero forces ch = 2L with no point correction.
     """
-    return ChernData(0, CohClass.basis_class(model_x(), "L", 2))
+    return CohClass.basis_class(model_x(), "L", 2)
 
 
 @functools.lru_cache(maxsize=None)
-def class_e1y() -> ChernData:
+def class_e1y() -> CohClass:
     """The rank-2 threefold bundle attached to a point of the dual curve."""
-    out = transform(kernel_phi1(), class_point(model_curve()))
-    return ChernData(2, out)
+    out = transform(kernel_phi1(), point_class(model_curve()))
+    if out.rank != 2:
+        raise ValueError(f"E1y has rank {out.rank}, not 2")
+    return out
 
 
 @functools.lru_cache(maxsize=None)
-def class_e2y() -> ChernData:
+def class_e2y() -> CohClass:
     """The rank-2 K3 bundle attached to a point of the dual K3."""
-    out = transform(kernel_phi2(), class_point(model_sdual()))
-    return ChernData(2, out)
+    out = transform(kernel_phi2(), point_class(model_sdual()))
+    if out.rank != 2:
+        raise ValueError(f"E2y has rank {out.rank}, not 2")
+    return out
 
 
 NAMED_CLASSES = {
-    "O": lambda: class_o(model_x()),
-    "O_X": lambda: class_o(model_x()),
+    "O": lambda: CohClass.unit(model_x()),
+    "O_X": lambda: CohClass.unit(model_x()),
     "U": class_u_plus,
     "U-plus": class_u_plus,
     "O_R": class_o_conic,
     "E1y": class_e1y,
-    "pt_X": lambda: class_point(model_x()),
-    "O_C": lambda: class_o(model_curve()),
-    "pt": lambda: class_point(model_curve()),
-    "O_S": lambda: class_o(model_s()),
+    "pt_X": lambda: point_class(model_x()),
+    "O_C": lambda: CohClass.unit(model_curve()),
+    "pt": lambda: point_class(model_curve()),
+    "O_S": lambda: CohClass.unit(model_s()),
     "E2y": class_e2y,
-    "pt_S": lambda: class_point(model_s()),
-    "O_Sd": lambda: class_o(model_sdual()),
-    "pt_Sd": lambda: class_point(model_sdual()),
+    "pt_S": lambda: point_class(model_s()),
+    "O_Sd": lambda: CohClass.unit(model_sdual()),
+    "pt_Sd": lambda: point_class(model_sdual()),
 }
 
 
-def named_class(name: str, model: Optional[RingModel] = None) -> ChernData:
+def named_class(name: str, model: Optional[RingModel] = None) -> CohClass:
     """Look up a named constant class, optionally checking its model."""
     if name not in NAMED_CLASSES:
         raise ValueError(f"unknown class {name!r}; known: {sorted(NAMED_CLASSES)}")
-    data = NAMED_CLASSES[name]()
-    if model is not None and data.model is not model:
-        raise ValueError(f"class {name} lives on {data.model.name}, not {model.name}")
-    return data
+    cls = NAMED_CLASSES[name]()
+    if model is not None and cls.model is not model:
+        raise ValueError(f"class {name} lives on {cls.model.name}, not {model.name}")
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +271,27 @@ class GramReport:
         }
 
 
-def gram(collection: Sequence[tuple[str, ChernData]], model: RingModel,
+def gram(collection: Sequence[tuple[str, CohClass]], model: RingModel,
          blocks: Optional[Sequence[int]] = None) -> GramReport:
     """Full Euler-pairing matrix with numerical SOD verdicts."""
     labels = tuple(label for label, _ in collection)
-    datas = [data for _, data in collection]
-    matrix = tuple(tuple(euler(model, a, b) for b in datas) for a in datas)
-    sizes = tuple(blocks) if blocks is not None else tuple(1 for _ in datas)
-    if sum(sizes) != len(datas):
+    classes = [cls for _, cls in collection]
+    matrix = tuple(tuple(euler(model, a, b) for b in classes) for a in classes)
+    sizes = tuple(blocks) if blocks is not None else tuple(1 for _ in classes)
+    if sum(sizes) != len(classes):
         raise ValueError("block sizes must sum to the collection length")
     block_of = []
     for bi, s in enumerate(sizes):
         block_of.extend([bi] * s)
     semi = all(matrix[i][j] == 0
-               for i in range(len(datas)) for j in range(len(datas))
+               for i in range(len(classes)) for j in range(len(classes))
                if block_of[i] > block_of[j])
-    exceptional = tuple(matrix[i][i] == 1 for i in range(len(datas)))
+    exceptional = tuple(matrix[i][i] == 1 for i in range(len(classes)))
     return GramReport(labels, matrix, sizes, exceptional, semi)
 
 
-def mutate(a: ChernData, through: ChernData, model: RingModel,
-           direction: Literal["left", "right"]) -> ChernData:
+def mutate(a: CohClass, through: CohClass, model: RingModel,
+           direction: Literal["left", "right"]) -> CohClass:
     """Class-level mutation: the chi-weighted reflection through an object.
 
     Right mutation uses chi(a, through), left mutation chi(through, a);
@@ -314,18 +303,17 @@ def mutate(a: ChernData, through: ChernData, model: RingModel,
         c = euler(model, through, a)
     else:
         raise ValueError("direction must be left or right")
-    ch = through.ch.scale(c) - a.ch
-    rank = c * through.rank - a.rank
-    if rank.denominator != 1:
+    out = through.scale(c) - a
+    if out.coefficient(model.basis[0]).denominator != 1:
         raise ArithmeticError("mutation produced a non-integral rank")
-    return ChernData(int(rank), ch)
+    return out
 
 
 class OrthogonalityError(ValueError):
     """A class failed the numerical orthogonality precondition."""
 
 
-def commdiag_check(a: ChernData) -> bool:
+def commdiag_check(a: CohClass) -> bool:
     """Check the vanishing of the glued-kernel transform on an orthogonal class.
 
     Precondition: chi(a, U_+) = chi(a, O) = 0 (numerical membership in the
@@ -335,18 +323,17 @@ def commdiag_check(a: ChernData) -> bool:
     """
     m = model_x()
     chi_u = euler(m, a, class_u_plus())
-    chi_o = euler(m, a, class_o(m))
+    chi_o = euler(m, a, CohClass.unit(m))
     if chi_u != 0 or chi_o != 0:
         raise OrthogonalityError(
             f"class pairs to chi(a,U)={chi_u}, chi(a,O)={chi_o}; both must vanish")
 
-    prod = x_times_sdual()
     sd = model_sdual()
     h_sd = hyperplane(sd)
     # Piece through U_-: -(chi(a, O)) * ch(U_-(-H)); piece through dual U_+:
     # -(chi(a, U_+)) * ch(O(-H)).  Serre duality on the threefold gives the signs.
     piece_sub = transform(_kernel_u_piece("sub"), a)
-    expect_sub = (tautological_ch(sd).twisted(-1 * h_sd).ch).scale(chi_o)
+    expect_sub = tautological_ch(sd).twisted(-1 * h_sd).scale(chi_o)
     piece_quot = transform(_kernel_u_piece("quotient-dual"), a)
     expect_quot = exp_class(-1 * h_sd).scale(chi_u)
     if piece_sub != expect_sub or piece_quot != expect_quot:
@@ -354,7 +341,7 @@ def commdiag_check(a: ChernData) -> bool:
     return transform(kernel_e_tilde(), a).is_zero
 
 
-def orthogonal_complement_basis() -> list[ChernData]:
+def orthogonal_complement_basis() -> list[CohClass]:
     """A rational basis of the numerical left orthogonal of (U_+, O).
 
     Exact kernel computation of the 2 x 4 pairing matrix against the
@@ -363,14 +350,15 @@ def orthogonal_complement_basis() -> list[ChernData]:
     m = model_x()
     basis = [CohClass.basis_class(m, l) for l in m.basis]
     u = class_u_plus()
-    o = class_o(m)
-    rows = [[chi(m, v, u.ch) for v in basis], [chi(m, v, o.ch) for v in basis]]
+    o = CohClass.unit(m)
+    rows = [[chi(m, v, u) for v in basis], [chi(m, v, o) for v in basis]]
     ker = _kernel_basis(rows)
     out = []
     for vec in ker:
         cls = CohClass(m, dict(zip(m.basis, vec)))
-        cls = cls.scale(cls.coefficient("1").denominator)   # an integral rank
-        out.append(ChernData(int(cls.coefficient("1")), cls))
+        cls = cls.scale(cls.coefficient("1").denominator)
+        cls.rank   # an integral rank: a ValueError otherwise
+        out.append(cls)
     return out
 
 

@@ -12,7 +12,7 @@ from math import comb
 from oracles import klimyk_tensor
 from spinorcalc import bbw, intersect, mukai, sections
 from spinorcalc.bbw import O, U, cohomology, hilbert, irreducible, make_bundle
-from spinorcalc.intersect import ChernData, CohClass, lift_left, lift_right
+from spinorcalc.intersect import CohClass, lift_left, lift_right
 from spinorcalc.rootdata import Weight, tensor_decompose, weyl_dim
 
 
@@ -70,18 +70,18 @@ def test_criterion_05_splice_pipelines():
 def test_criterion_06_universal_chern_classes():
     prod = intersect.x_times_curve()
     X, C = prod.factors
-    e1 = intersect.universal_ch("XxC")
+    e1 = intersect.universal_ch(prod)
     c2 = e1.chern_classes()[1]
     expected = (lift_left(prod, intersect.hyperplane(X))
                 * lift_right(prod, intersect.hyperplane(C))).scale(Q(7, 12)) \
         + lift_left(prod, CohClass.basis_class(X, "L", 5)) \
         + CohClass.basis_class(prod, intersect.ETA)
     assert c2 == expected
-    assert e1.ch.component(3) == CohClass(prod, {"P*1": Q(-1, 2)})
+    assert e1.component(3) == CohClass(prod, {"P*1": Q(-1, 2)})
 
     prod2 = intersect.s_times_sdual()
     S, Sd = prod2.factors
-    c2_2 = intersect.universal_ch("SxS").chern_classes()[1]
+    c2_2 = intersect.universal_ch(prod2).chern_classes()[1]
     expected2 = (lift_left(prod2, intersect.hyperplane(S))
                  * lift_right(prod2, intersect.hyperplane(Sd))).scale(Q(7, 12)) \
         + lift_left(prod2, CohClass.basis_class(S, "P", 5)) \
@@ -110,14 +110,14 @@ def test_criterion_09_numerical_sod():
     phi1 = mukai.kernel_phi1()
     coll = [
         ("U+", mukai.class_u_plus()),
-        ("O_X", mukai.class_o(X)),
-        ("Phi1(O_C)", ChernData(0, mukai.transform(phi1, mukai.class_o(C)))),
+        ("O_X", CohClass.unit(X)),
+        ("Phi1(O_C)", mukai.transform(phi1, CohClass.unit(C))),
         ("Phi1(pt)", mukai.class_e1y()),
     ]
     report = mukai.gram(coll, X, blocks=(1, 1, 2))
     assert report.semiorthogonal
     assert report.exceptional[:2] == (True, True)
-    rows = [[d.ch.coefficient(l) for l in X.basis] for _, d in coll]
+    rows = [[d.coefficient(l) for l in X.basis] for _, d in coll]
     assert mukai.matrix_rank(rows) == 4
     _report("criterion 9", "Gram block-upper-triangular, unit exceptional diagonal, rank 4")
 
@@ -133,8 +133,8 @@ def test_criterion_11_conics():
     X = intersect.model_x()
     conic = mukai.class_o_conic()
     c1 = mukai.class_u_plus().chern_classes()[0]
-    assert (c1 * conic.ch).integrate() == -4
-    assert mukai.euler(X, conic, mukai.class_o(X)) == 1
+    assert (c1 * conic).integrate() == -4
+    assert mukai.euler(X, conic, CohClass.unit(X)) == 1
     assert mukai.euler(X, conic, mukai.class_u_plus()) == 1
     out = mukai.transform(mukai.kernel_phi1_shriek(), conic)
     assert out == CohClass.basis_class(intersect.model_curve(), "pt", 2)

@@ -7,6 +7,7 @@ from spinorcalc.bbw import (
     DIM,
     MAX_FACTORS,
     MAX_NESTING,
+    MAX_TWIST,
     BundleExprError,
     CohomologyTable,
     HomogBundle,
@@ -99,6 +100,11 @@ class TestParser:
             parse_bundle_expr("dual(" * (MAX_NESTING + 1) + "U" + ")" * (MAX_NESTING + 1))
         with pytest.raises(BundleExprError, match="factors"):
             parse_bundle_expr("*".join(["O"] * (MAX_FACTORS + 1)))
+        assert parse_bundle_expr(f"O(-{MAX_TWIST})") == ("twist", ("atom", "O"), -MAX_TWIST)
+        assert parse_bundle_expr(f"U(+00{MAX_TWIST})") == ("twist", ("atom", "U"), MAX_TWIST)
+        for twist in (MAX_TWIST + 1, -MAX_TWIST - 1, "9" * 5000):
+            with pytest.raises(BundleExprError, match=r"twist outside .* at offset 2"):
+                parse_bundle_expr(f"O({twist})")
 
     def test_dual_of_twist(self):
         assert make_bundle("dual(U(1))") == make_bundle("dual(U)(-1)")

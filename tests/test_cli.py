@@ -2,20 +2,14 @@ import json
 
 import pytest
 
-from spinorcalc.cli import parse_bundle_expr, run, verify_suite
+from spinorcalc.bbw import MAX_TWIST
+from spinorcalc.cli import run, verify_suite
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-class TestParseExport:
-    def test_tree_shapes(self):
-        assert parse_bundle_expr("dual(U)*U(-1)") == (
-            "tensor", ("dual", ("atom", "U")), ("twist", ("atom", "U"), -1))
-        assert parse_bundle_expr("O(-8)") == ("twist", ("atom", "O"), -8)
 
 
 class TestBBWCommand:
@@ -68,17 +62,38 @@ class TestBBWCommand:
 
 
 class TestExpressionBounds:
-    # unbounded, DEEP overflows the recursion of the parser and WIDE that of the builder
+    # unbounded, DEEP overflows the recursion of the parser and WIDE that of the builder;
+    # a twist of 5000 digits passes Python's integer-string limit, one of 400 prints
+    # a 4001-character table
     DEEP = "dual(" * 600 + "O" + ")" * 600
     WIDE = "*".join(["O"] * 1500)
+    LONG_TWIST = "O(" + "9" * 5000 + ")"
+    WIDE_TWIST = "O(" + "9" * 400 + ")"
+    NEXT_TWIST = f"U(-{MAX_TWIST + 1})"
 
-    @pytest.mark.parametrize("expr", [DEEP, WIDE], ids=["nested-dual", "many-factors"])
+    @pytest.mark.parametrize("expr", [DEEP, WIDE, LONG_TWIST, WIDE_TWIST, NEXT_TWIST],
+                             ids=["nested-dual", "many-factors", "long-twist", "wide-twist",
+                                  "next-twist"])
     @pytest.mark.parametrize("command", [["bbw"], ["koszul", "--codim", "7"]])
     def test_over_bound_exit_2(self, capsys, command, expr):
         code, out, err = invoke(capsys, *command, "--bundle", expr)
         assert (code, out) == (2, "")
         assert err.startswith("syntax error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("twist", ["9" * 4000, str(MAX_TWIST + 1), f"-{MAX_TWIST + 1}"],
+                             ids=["long", "next", "next-negative"])
+    def test_koszul_twist_over_bound_exit_2(self, capsys, twist):
+        code, out, err = invoke(capsys, "koszul", "--codim", "7", "--bundle", "O",
+                                "--twist", twist)
+        assert (code, out, err) == (
+            2, "", f"syntax error: twist outside [-{MAX_TWIST}, {MAX_TWIST}] at offset 0\n")
+
+    def test_koszul_twist_at_bound(self, capsys):
+        code, out, _ = invoke(capsys, "koszul", "--codim", "7", "--bundle", "O",
+                              "--twist", str(-MAX_TWIST), "--format", "json")
+        k = -MAX_TWIST   # chi(O_X(k)) = 2k^3 + 3k^2 + 3k + 1 on the threefold
+        assert code == 0 and json.loads(out)["euler"] == 2 * k ** 3 + 3 * k ** 2 + 3 * k + 1
 
 
 class TestKoszulCommand:

@@ -6,7 +6,6 @@ from spinorcalc import sections
 from spinorcalc.rootdata import RationalSyntaxError
 from spinorcalc.intersect import (
     ETA,
-    ChernData,
     ClassSyntaxError,
     CohClass,
     chi,
@@ -21,7 +20,6 @@ from spinorcalc.intersect import (
     model_sdual,
     model_x,
     point_class,
-    pushpull,
     restrict_to_left_fiber,
     s_times_curve,
     s_times_sdual,
@@ -126,65 +124,71 @@ class TestChernData:
             (5, [h.scale(-2), l.scale(3), p.scale(7)]),
             (3, [h.scale(Q(1, 2)), l.scale(Q(-2, 3)), p.scale(Q(5, 12))]),
         ]:
-            data = ChernData.from_chern(rank, cs, X)
-            back = data.chern_classes()
+            ch = CohClass.from_chern(rank, cs, X)
+            back = ch.chern_classes()
             assert back == cs
+
+    def test_rank_must_be_integral(self):
+        X = model_x()
+        assert CohClass(X, {"1": 3, "H": Q(1, 2)}).rank == 3
+        with pytest.raises(ValueError, match="non-integral rank 1/2"):
+            CohClass(X, {"1": Q(1, 2), "H": 1}).rank
 
     def test_round_trip_on_product(self):
         prod = x_times_curve()
-        e1 = universal_ch("XxC")
+        e1 = universal_ch(prod)
         cs = e1.chern_classes()
-        assert ChernData.from_chern(2, cs[:2], prod).ch == e1.ch
+        assert CohClass.from_chern(2, cs[:2], prod) == e1
 
     def test_rank2_closed_forms(self):
         # ch3 = (c1^3 - 3 c1 c2)/6 and ch4 = (c1^4 - 4 c1^2 c2 + 2 c2^2)/24
         prod = s_times_sdual()
-        e2 = universal_ch("SxS")
+        e2 = universal_ch(prod)
         c1, c2 = e2.chern_classes()[:2]
         ch3 = (c1 * c1 * c1 - (c1 * c2).scale(3)).scale(Q(1, 6))
         ch4 = (c1 ** 4 - (c1 * c1 * c2).scale(4) + (c2 * c2).scale(2)).scale(Q(1, 24))
-        assert e2.ch.component(3) == ch3
-        assert e2.ch.component(4) == ch4
+        assert e2.component(3) == ch3
+        assert e2.component(4) == ch4
 
     def test_dual_twist(self):
         X = model_x()
         taut = tautological_ch(X)
         # rank-5 det: dual of the twist matches the twist of the dual
-        assert taut.dual().twisted(hyperplane(X)).ch \
-            == taut.twisted(-1 * hyperplane(X)).dual().ch
+        assert taut.dual().twisted(hyperplane(X)) \
+            == taut.twisted(-1 * hyperplane(X)).dual()
 
 
 class TestTautological:
     def test_threefold_values(self):
         taut = tautological_ch(model_x())
         assert taut.rank == 5
-        assert taut.ch == CohClass(model_x(), {"1": 5, "H": -2, "P": 1})
+        assert taut == CohClass(model_x(), {"1": 5, "H": -2, "P": 1})
 
     def test_chi_constraints(self):
         X = model_x()
         taut = tautological_ch(X)
-        assert chi(X, CohClass.unit(X), taut.ch) == 0
+        assert chi(X, CohClass.unit(X), taut) == 0
         dual_tw = taut.dual().twisted(-1 * hyperplane(X))
-        assert chi(X, CohClass.unit(X), dual_tw.ch) == 0
+        assert chi(X, CohClass.unit(X), dual_tw) == 0
 
     def test_k3_restriction_matches_sections(self):
         S = model_s()
         taut = tautological_ch(S)
-        assert taut.ch == CohClass(S, {"1": 5, "H": -2})
+        assert taut == CohClass(S, {"1": 5, "H": -2})
         # chi(S, U) from the ring model equals the Koszul computation
-        assert chi(S, CohClass.unit(S), taut.ch) \
+        assert chi(S, CohClass.unit(S), taut) \
             == sections.section_cohomology(sections.make_bundle("U"), 8).euler
 
     def test_curve_truncation(self):
         C = model_curve()
         taut = tautological_ch(C)
-        assert taut.ch == CohClass(C, {"1": 5, "pt": -24})
+        assert taut == CohClass(C, {"1": 5, "pt": -24})
 
 
 class TestUniversal:
     def test_threefold_curve_classes(self):
         prod = x_times_curve()
-        e1 = universal_ch("XxC")
+        e1 = universal_ch(prod)
         c1, c2 = e1.chern_classes()[:2]
         X, C = prod.factors
         assert c1 == lift_left(prod, hyperplane(X)) + lift_right(prod, hyperplane(C))
@@ -193,11 +197,11 @@ class TestUniversal:
             + lift_left(prod, CohClass.basis_class(X, "L", 5)) \
             + CohClass.basis_class(prod, ETA)
         assert c2 == expected_c2
-        assert e1.ch.component(3) == CohClass(prod, {"P*1": Q(-1, 2)})
+        assert e1.component(3) == CohClass(prod, {"P*1": Q(-1, 2)})
 
     def test_k3_pair_classes(self):
         prod = s_times_sdual()
-        e2 = universal_ch("SxS")
+        e2 = universal_ch(prod)
         c1, c2 = e2.chern_classes()[:2]
         S, Sd = prod.factors
         assert c1 == lift_left(prod, hyperplane(S)) + lift_right(prod, hyperplane(Sd))
@@ -206,26 +210,25 @@ class TestUniversal:
             + lift_left(prod, CohClass.basis_class(S, "P", 5)) \
             + lift_right(prod, CohClass.basis_class(Sd, "P", 5))
         assert c2 == expected_c2
-        assert e2.ch.component(3).is_zero
+        assert e2.component(3).is_zero
 
     def test_fiber_restriction(self):
         prod = x_times_curve()
-        e1 = universal_ch("XxC")
-        fiber = restrict_to_left_fiber(prod, e1.ch)
+        fiber = restrict_to_left_fiber(prod, universal_ch(prod))
         # the fiber bundle: rank 2, c1 = H, c2 = 5L
         assert fiber == CohClass(model_x(), {"1": 2, "H": 1, "L": 1, "P": Q(-1, 2)})
 
     def test_fiber_dual_is_negative_twist(self):
         # rank 2 with determinant H: the dual is the (-H)-twist
         X = model_x()
-        fiber = ChernData(2, restrict_to_left_fiber(x_times_curve(), universal_ch("XxC").ch))
-        assert fiber.dual().ch == fiber.twisted(-1 * hyperplane(X)).ch
+        fiber = restrict_to_left_fiber(x_times_curve(), universal_ch(x_times_curve()))
+        assert fiber.rank == 2
+        assert fiber.dual() == fiber.twisted(-1 * hyperplane(X))
 
     def test_glueing_compatibility(self):
         # both universal bundles restrict to the same class on the mixed product
-        sxc = s_times_curve()
-        via_x = pushpull("lambda1", "pull", universal_ch("XxC").ch)
-        via_s = pushpull("lambda2", "pull", universal_ch("SxS").ch)
+        via_x = geom_map("lambda1").pull(universal_ch(x_times_curve()))
+        via_s = geom_map("lambda2").pull(universal_ch(s_times_sdual()))
         assert via_x == via_s
 
 
@@ -250,35 +253,35 @@ class TestEta:
     def test_guard_without_eta(self):
         bare = x_times_curve(eta_square=0)
         uni = universal_ch(bare)
-        assert chi(bare, uni.ch, uni.ch) == Q(-20, 3)
-        assert chi(bare, uni.ch, uni.ch) != 12
+        assert chi(bare, uni, uni) == Q(-20, 3)
+        assert chi(bare, uni, uni) != 12
 
     def test_self_pairing_with_eta(self):
         prod = x_times_curve()
-        uni = universal_ch("XxC")
-        assert chi(prod, uni.ch, uni.ch) == 12
+        uni = universal_ch(prod)
+        assert chi(prod, uni, uni) == 12
 
     def test_fiberwise_self_pairing(self):
         X = model_x()
-        fiber = restrict_to_left_fiber(x_times_curve(), universal_ch("XxC").ch)
+        fiber = restrict_to_left_fiber(x_times_curve(), universal_ch(x_times_curve()))
         assert chi(X, fiber, fiber) == 0
 
 
 class TestPushPull:
     def test_hyperplane_section_class(self):
-        out = pushpull("alpha", "push", CohClass.unit(model_s()))
+        out = geom_map("alpha").push(CohClass.unit(model_s()))
         assert out == hyperplane(model_x())
 
     def test_pull_alpha(self):
         X, S = model_x(), model_s()
-        assert pushpull("alpha", "pull", hyperplane(X)) == hyperplane(S)
-        assert pushpull("alpha", "pull", CohClass.basis_class(X, "L")) \
+        assert geom_map("alpha").pull(hyperplane(X)) == hyperplane(S)
+        assert geom_map("alpha").pull(CohClass.basis_class(X, "L")) \
             == CohClass.basis_class(S, "P")
 
     def test_fiber_integration(self):
         prod = x_times_curve()
         cls = CohClass(prod, {"P*pt": 1})
-        assert pushpull(f"q:{prod.name}", "push", cls) == point_class(model_curve())
+        assert geom_map(f"q:{prod.name}").push(cls) == point_class(model_curve())
 
     def test_projection_formula_embeddings(self):
         for name in ("alpha", "beta", "lambda1", "lambda2", "mu1", "mu2", "nu"):
@@ -302,21 +305,21 @@ class TestPushPull:
     def test_eta_dies_under_maps(self):
         prod = x_times_curve()
         eta = CohClass.basis_class(prod, ETA)
-        assert pushpull("mu1", "push", eta).is_zero
-        assert pushpull("lambda1", "pull", eta).is_zero
-        assert pushpull(f"p:{prod.name}", "push", eta).is_zero
-        assert pushpull(f"q:{prod.name}", "push", eta).is_zero
+        assert geom_map("mu1").push(eta).is_zero
+        assert geom_map("lambda1").pull(eta).is_zero
+        assert geom_map(f"p:{prod.name}").push(eta).is_zero
+        assert geom_map(f"q:{prod.name}").push(eta).is_zero
 
     def test_model_mismatch(self):
         with pytest.raises(ValueError):
-            pushpull("alpha", "push", CohClass.unit(model_x()))
+            geom_map("alpha").push(CohClass.unit(model_x()))
         with pytest.raises(ValueError):
-            pushpull("alpha", "pull", CohClass.unit(model_s()))
+            geom_map("alpha").pull(CohClass.unit(model_s()))
 
 
 def test_serialization_round_trip():
     prod = x_times_curve()
-    cls = universal_ch("XxC").ch
+    cls = universal_ch(prod)
     data = cls.to_json()
     assert CohClass.from_json(prod, data) == cls
     assert all(isinstance(v, str) for v in data.values())

@@ -95,7 +95,7 @@ def test_fiber_bundle_self_pairing():
     ch = ring.rank2_ch(ring.hyperplane(0), ring.from_labels({"L": 5}))
     assert ring.chi(ch, ch) == 0
     e1y = mukai.class_e1y()
-    assert e1y.ch.coeffs == ring.to_labels(ch)
+    assert e1y.coeffs == ring.to_labels(ch)
     assert mukai.euler(model_x(), e1y, e1y) == 0
 
 
@@ -116,7 +116,7 @@ def test_eta_square_from_moduli_pairing():
     assert solved == 14 == eta_square_solve()
     ring, ch, value = pairing(solved)
     assert value == 12
-    assert universal_ch("XxC").ch.coeffs == ring.to_labels(ch)
+    assert universal_ch(x_times_curve()).coeffs == ring.to_labels(ch)
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -132,6 +132,18 @@ def test_ring_axioms(name, data):
     assert CohClass.unit(model) * a == a
     assert (a.scale(t) * b) == (a * b).scale(t)
     assert a - a == CohClass.zero(model)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chern_round_trip(name, data):
+    model = MODELS[name]()
+    rank = data.draw(st.integers(-8, 8))
+    cs = [draw_class(data, model).component(k) for k in range(1, model.dim + 1)]
+    ch = CohClass.from_chern(rank, cs, model)
+    assert ch.chern_classes() == cs
+    assert ch.rank == rank
 
 
 @pytest.mark.parametrize("name", MAPS)
