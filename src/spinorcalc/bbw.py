@@ -20,6 +20,11 @@ Cohomology of an irreducible summand is concentrated in a single degree:
 the weight is rho-shifted and regularized; singular means no cohomology,
 otherwise the degree is the number of positive roots made negative and
 the dimension comes from the Weyl dimension formula for D5.
+
+``cohomology(b, k)`` gives H(b(k)) straight from the doubled weights of b
+shifted by k, memoized on (summands, k): the Koszul page columns H(b(-p)),
+``hilbert`` and plain ``cohomology(b)`` (k = 0) share one table per twist,
+and none of them builds the twisted bundle.
 """
 
 from __future__ import annotations
@@ -312,28 +317,41 @@ def _irreducible_cohomology(twice: tuple[int, ...]) -> Optional[tuple[int, int]]
     return length, weyl_dim(dom - _RHO, "D5")
 
 
-def cohomology(b: HomogBundle) -> CohomologyTable:
-    """Sheaf cohomology on the tenfold, summand by summand."""
+@functools.lru_cache(maxsize=None)
+def _twisted_table(summands: tuple[tuple[Weight, int], ...], k: int) -> CohomologyTable:
+    """H(b(k)) for the bundle b with these (already validated) summands.
+
+    Twisting adds k to every doubled coordinate; a GL5-dominant weight stays
+    dominant, so no twisted bundle is built except to name it in an error.
+    """
     dims: Counter = Counter()
-    for w, m in b.summands:
-        hit = _irreducible_cohomology(w.twice)
+    for w, m in summands:
+        hit = _irreducible_cohomology(tuple(d + k for d in w.twice))
         if hit is not None:
             degree, dim = hit
             dims[degree] += m * dim
     table = CohomologyTable.from_dict(dict(dims))
     if any(d > DIM for d, _ in table.entries):
-        raise ArithmeticError(f"cohomological degree above {DIM} for {b}")
+        raise ArithmeticError(
+            f"cohomological degree above {DIM} for {HomogBundle(summands).twist(k)}")
     return table
 
 
+def cohomology(b: HomogBundle, k: int = 0) -> CohomologyTable:
+    """Sheaf cohomology of the twist b(k) on the tenfold, summand by summand."""
+    return _twisted_table(b.summands, k)
+
+
 def hilbert(b: HomogBundle, k: int) -> int:
-    """Euler characteristic of b(k); a polynomial of degree <= 10 in k."""
-    return cohomology(b.twist(k)).euler
+    """Euler characteristic of b(k), from the same memoized table as
+    ``cohomology(b, k)``; a polynomial of degree <= 10 in k."""
+    return cohomology(b, k).euler
 
 
 def tenfold_degree() -> int:
     """10! times the leading coefficient of k -> chi(O(k)); equals 12."""
     acc = 0
+    o = O()
     for j in range(DIM + 1):
-        acc += (-1) ** (DIM - j) * comb(DIM, j) * hilbert(O(), j)
+        acc += (-1) ** (DIM - j) * comb(DIM, j) * hilbert(o, j)
     return acc  # the 10th finite difference of a degree-10 polynomial is 10! a_10

@@ -150,18 +150,28 @@ def kernel_e_tilde() -> KernelSpec:
     pairing map, so the transform splits into a chi(a, O)-multiple of
     U_-(-H_Sd) and a chi(a, U_+)-multiple of O(-H_Sd).
     """
-    ch = _kernel_u_piece("quotient-dual").kernel_ch - _kernel_u_piece("sub").kernel_ch
+    ch = _kernel_u_quotient_dual().kernel_ch - _kernel_u_sub().kernel_ch
     return KernelSpec("E-tilde", x_times_sdual(), "left", ch, -1)
 
 
-def _kernel_u_piece(which: Literal["sub", "quotient-dual"]) -> KernelSpec:
-    """The two split pieces of the glued kernel, for the factorization check."""
+# The two split pieces of the glued kernel, for the factorization check; both
+# carry the -H_X - H_Sd twist of the glued kernel.
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_u_sub() -> KernelSpec:
+    """The piece through the tautological bundle U_- of the dual K3."""
     prod = x_times_sdual()
-    if which == "sub":
-        ch = lift_right(prod, tautological_ch(model_sdual()))
-    else:
-        ch = lift_left(prod, tautological_ch(model_x()).dual())
-    return KernelSpec(f"u-piece-{which}", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
+    ch = lift_right(prod, tautological_ch(model_sdual()))
+    return KernelSpec("u-piece-sub", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_u_quotient_dual() -> KernelSpec:
+    """The piece through the dual of the threefold's tautological bundle U_+."""
+    prod = x_times_sdual()
+    ch = lift_left(prod, tautological_ch(model_x()).dual())
+    return KernelSpec("u-piece-quotient-dual", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
 
 
 KERNELS = {
@@ -332,9 +342,9 @@ def commdiag_check(a: CohClass) -> bool:
     h_sd = hyperplane(sd)
     # Piece through U_-: -(chi(a, O)) * ch(U_-(-H)); piece through dual U_+:
     # -(chi(a, U_+)) * ch(O(-H)).  Serre duality on the threefold gives the signs.
-    piece_sub = transform(_kernel_u_piece("sub"), a)
+    piece_sub = transform(_kernel_u_sub(), a)
     expect_sub = tautological_ch(sd).twisted(-1 * h_sd).scale(chi_o)
-    piece_quot = transform(_kernel_u_piece("quotient-dual"), a)
+    piece_quot = transform(_kernel_u_quotient_dual(), a)
     expect_quot = exp_class(-1 * h_sd).scale(chi_u)
     if piece_sub != expect_sub or piece_quot != expect_quot:
         raise ArithmeticError("split pieces of the glued kernel missed their chi-multiples")

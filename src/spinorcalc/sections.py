@@ -4,9 +4,13 @@ long-exact-sequence splicing solver.
 A codimension-c linear section carries the exterior-algebra resolution of
 its structure sheaf, so hypercohomology of a restricted bundle b is read
 off a first page with entries H^q(tenfold, b(-p)) repeated binomial(c, p)
-times.  Collapse detection is conservative: a table is reported ``exact``
-only when no differential of any page could join two nonzero entries;
-otherwise the result is ``euler_only`` with per-degree upper bounds.  The
+times; each column H(b(-p)) is one memoized ``cohomology(b, -p)`` call, so
+pages at different codimensions share their columns.  Collapse detection is
+conservative: a table is reported ``exact`` when no differential of any page
+could join two nonzero entries, or when the page totals E_d, clamped to the
+degrees 0..dim of the section, leave at most one degree d, since then the
+Euler characteristic fixes h^d = (-1)^d chi.  Otherwise the result is
+``euler_only`` with the clamped totals as per-degree upper bounds.  The
 Euler characteristic is the alternating page sum either way.
 
 The splice solver extracts the unknown term of a 3- or 4-term exact
@@ -38,7 +42,9 @@ class SectionResult:
     """Outcome of a section or splice computation.
 
     ``table`` is the true cohomology table when ``status == "exact"`` and a
-    per-degree upper bound otherwise; ``euler`` is exact in both cases.
+    per-degree upper bound otherwise; ``euler`` is exact in both cases.  A
+    section table whose bounds leave a single degree is exact, its entry
+    fixed by the Euler number.
     """
 
     status: Status
@@ -64,7 +70,7 @@ def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
     page: dict[tuple[int, int], int] = {}
     for p in range(codim + 1):
         mult = comb(codim, p)
-        for q, n in cohomology(b.twist(-p)).entries:
+        for q, n in cohomology(b, -p).entries:
             page[(p, q)] = mult * n
     return page
 
@@ -93,12 +99,19 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
         d = q - p
         by_degree[d] = by_degree.get(d, 0) + n
         euler += n if d % 2 == 0 else -n
+    top = DIM - codim
     if _could_collapse_fail(page):
-        # True cohomology vanishes outside [0, dim], so clamping tightens the bounds.
-        bounds = CohomologyTable.from_dict(
-            {d: n for d, n in by_degree.items() if 0 <= d <= DIM - codim})
-        return SectionResult("euler_only", bounds, euler)
-    if any(d < 0 or d > DIM - codim for d in by_degree):
+        # True cohomology vanishes outside [0, top], so clamping tightens the bounds.
+        bounds = {d: n for d, n in by_degree.items() if 0 <= d <= top}
+        if len(bounds) > 1:
+            return SectionResult("euler_only", CohomologyTable.from_dict(bounds), euler)
+        # At most one degree d survives the clamp, so chi = (-1)^d h^d fixes the table.
+        by_degree = {d: (-1) ** d * euler for d in bounds}
+        if (euler and not bounds) or any(not 0 <= n <= bounds[d] for d, n in by_degree.items()):
+            raise ArithmeticError(
+                f"Euler number {euler} contradicts the page bounds {bounds} "
+                f"for {b} at codim {codim}")
+    elif any(d < 0 or d > top for d in by_degree):
         raise ArithmeticError(f"degenerate page for {b} at codim {codim}: {page}")
     return SectionResult("exact", CohomologyTable.from_dict(by_degree), euler)
 

@@ -108,6 +108,13 @@ class TestKoszulCommand:
         assert code == 0
         assert json.loads(out) == {"status": "exact", "h": {"3": 1}, "euler": -1}
 
+    def test_single_degree_bound_is_exact(self, capsys):
+        # the clamped page totals leave degree 0 alone, so chi = 755 is h^0;
+        # this printed the page total as a bound, "status: euler_only", "h: {0: 1854}"
+        code, out, _ = invoke(capsys, "koszul", "--codim", "7", "--bundle", "dual(U)*U",
+                              "--twist", "2")
+        assert (code, out) == (0, "status: exact\nh: {0: 755}\neuler: 755\n")
+
     def test_codim_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "koszul", "--codim", "12", "--bundle", "O")
         assert code == 1

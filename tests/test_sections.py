@@ -1,5 +1,6 @@
 import pytest
 
+from spinorcalc import sections
 from spinorcalc.bbw import CohomologyTable, O, U, make_bundle
 from spinorcalc.sections import (
     UNKNOWN,
@@ -49,6 +50,26 @@ class TestSectionCohomology:
         assert res.status == "euler_only"
         assert res.euler == -6
         assert res.table.dim(0) >= 1 and res.table.dim(1) >= 7
+
+    def test_single_degree_bound_is_exact(self):
+        # a differential could act, but only degree 0 lies in [0, 3]: h^0 = chi
+        res = section_cohomology(make_bundle("dual(U)*U(2)"), 7)
+        assert res.exact and res.table.dims() == {0: 755} and res.euler == 755
+
+    def test_single_degree_outside_its_bound_raises(self, monkeypatch):
+        # degrees 0 (total 5) and -1 (total 7) are joinable; chi = -2 < 0 cannot be h^0
+        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(0, 0): 5, (1, 0): 7})
+        with pytest.raises(ArithmeticError, match="contradicts"):
+            section_cohomology(O(), 7)
+
+    def test_no_degree_left_forces_zero(self, monkeypatch):
+        # joinable cells in degrees -2 and -1 only: chi must vanish and H is zero
+        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(2, 0): 1, (1, 0): 1})
+        res = section_cohomology(O(), 7)
+        assert res.exact and res.table.is_zero and res.euler == 0
+        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(2, 0): 2, (1, 0): 1})
+        with pytest.raises(ArithmeticError, match="contradicts"):
+            section_cohomology(O(), 7)
 
     def test_codim_validation(self):
         with pytest.raises(ValueError):
