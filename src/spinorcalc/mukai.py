@@ -154,13 +154,10 @@ def kernel_e_tilde() -> KernelSpec:
     return KernelSpec("E-tilde", x_times_sdual(), "left", ch, -1)
 
 
-# The two split pieces of the glued kernel, for the factorization check; both
-# carry the -H_X - H_Sd twist of the glued kernel.
-
-
 @functools.lru_cache(maxsize=None)
 def _kernel_u_sub() -> KernelSpec:
-    """The piece through the tautological bundle U_- of the dual K3."""
+    """Split piece of the glued kernel through U_- of the dual K3, twisted by
+    -H_X - H_Sd; for the factorization check."""
     prod = x_times_sdual()
     ch = lift_right(prod, tautological_ch(model_sdual()))
     return KernelSpec("u-piece-sub", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
@@ -168,7 +165,8 @@ def _kernel_u_sub() -> KernelSpec:
 
 @functools.lru_cache(maxsize=None)
 def _kernel_u_quotient_dual() -> KernelSpec:
-    """The piece through the dual of the threefold's tautological bundle U_+."""
+    """Split piece of the glued kernel through dual(U_+) of the threefold, twisted
+    by -H_X - H_Sd; for the factorization check."""
     prod = x_times_sdual()
     ch = lift_left(prod, tautological_ch(model_x()).dual())
     return KernelSpec("u-piece-quotient-dual", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
