@@ -5,19 +5,19 @@ A codimension-c linear section carries the exterior-algebra resolution of
 its structure sheaf, so hypercohomology of a restricted bundle b is read
 off a first page with entries H^q(tenfold, b(-p)) repeated binomial(c, p)
 times; each column H(b(-p)) is one memoized ``cohomology(b, -p)`` call, so
-pages at different codimensions share their columns.  Collapse detection is
-conservative: a table is reported ``exact`` when no differential of any page
-could join two nonzero entries, or when the page totals E_d, clamped to the
-degrees 0..dim of the section, leave at most one degree d, since then the
-Euler characteristic fixes h^d = (-1)^d chi.  Otherwise the result is
-``euler_only`` with the clamped totals as per-degree upper bounds.  The
-Euler characteristic is the alternating page sum either way.
+pages at different codimensions share their columns.  With E_d the page
+total in degree d = q - p and y_d the rank of the differentials from degree
+d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0 unless a cell of degree d has
+a larger p than one of degree d + 1, and h^d = 0 outside the degrees 0..dim
+of the section.  ``_chain`` bounds the y_d: the table is ``exact`` when every
+h^d is pinned, else ``euler_only`` with upper bounds.  The Euler
+characteristic is the alternating page sum either way.
 
 The splice solver extracts the unknown term of a 3- or 4-term exact
-sequence of sheaves from the known cohomology tables, by exact interval
-propagation on the ranks of the long exact sequence.  The named pipelines
-at the bottom assemble the section computations used for the rank-2
-bundles E1y on the threefold and E2y on the K3 (the fibers of the
+sequence of sheaves from the known cohomology tables with the same chain,
+run over the ranks of the maps of the long exact sequence.  The named
+pipelines at the bottom assemble the section computations used for the
+rank-2 bundles E1y on the threefold and E2y on the K3 (the fibers of the
 universal families over points of the dual curve and dual surface), whose
 dual is the (-H)-twist since both have determinant H.
 """
@@ -41,10 +41,11 @@ Status = Literal["exact", "euler_only"]
 class SectionResult:
     """Outcome of a section or splice computation.
 
-    ``table`` is the true cohomology table when ``status == "exact"`` and a
-    per-degree upper bound otherwise; ``euler`` is exact in both cases.  A
-    section table whose bounds leave a single degree is exact, its entry
-    fixed by the Euler number.
+    ``table`` is the true cohomology table when ``status == "exact"`` and
+    per-degree upper bounds otherwise; ``euler`` is exact in both cases.  For
+    a section table or a 3-term splice the bounds are sharp: each is the
+    largest value its degree takes over all ranks of the differentials or
+    maps that fit the known data.
     """
 
     status: Status
@@ -75,45 +76,93 @@ def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
     return page
 
 
-def _could_collapse_fail(page: dict[tuple[int, int], int]) -> bool:
-    """True when some differential could join two nonzero entries.
+def _chain(a: Sequence[int], b: Sequence[int],
+           free: Sequence[bool]) -> Optional[tuple[list[int], list[int]]]:
+    """Bounds on the sums s_k = y_k + y_{k+1}, k < m = len(a), of a chain.
 
-    A page-r differential moves (p, q) to (p - r, q - r + 1) for r >= 1.
+    The links y_0 .. y_m are nonnegative integers with y_0 = y_m = 0, y_k = 0
+    unless ``free[k - 1]``, and a_k <= s_k <= b_k.  Returns the (lo, hi) lists
+    of the sums, or None when no links satisfy the constraints.  On a path one
+    forward and one backward sweep of interval propagation reach the fixpoint,
+    and every value left to a link then extends to a solution, so the bounds
+    are the exact minimum and maximum of each sum.
     """
-    cells = list(page)
-    for p, q in cells:
-        for p2, q2 in cells:
-            r = p - p2
-            if r >= 1 and q - q2 == r - 1:
-                return True
-    return False
+    m = len(a)
+    lo = [0] * (m + 1)
+    hi = [0] + [min(b[k - 1], b[k]) if f else 0 for k, f in enumerate(free, 1)] + [0]
+    # comparisons, not max/min calls: verify runs many splices
+    for k in range(m):                # forward: y_{k+1} against y_k
+        if a[k] - hi[k] > lo[k + 1]:
+            lo[k + 1] = a[k] - hi[k]
+        if b[k] - lo[k] < hi[k + 1]:
+            hi[k + 1] = b[k] - lo[k]
+    for k in range(m - 1, -1, -1):    # backward: y_k against y_{k+1}
+        if a[k] - hi[k + 1] > lo[k]:
+            lo[k] = a[k] - hi[k + 1]
+        if b[k] - lo[k + 1] < hi[k]:
+            hi[k] = b[k] - lo[k + 1]
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
+    return ([max(x, l + l2) for x, l, l2 in zip(a, lo, lo[1:])],
+            [min(x, h + h2) for x, h, h2 in zip(b, hi, hi[1:])])
 
 
 def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     """Cohomology of b restricted to a generic codimension-``codim`` section."""
     b = make_bundle(b)
     page = koszul_page(b, codim)
-    by_degree: dict[int, int] = {}
+    totals: dict[int, int] = {}   # E_d, the page total in degree d = q - p
+    least: dict[int, int] = {}    # the least and greatest p among the cells of degree d
+    most: dict[int, int] = {}
     euler = 0
     for (p, q), n in page.items():
         d = q - p
-        by_degree[d] = by_degree.get(d, 0) + n
+        if d in totals:
+            totals[d] += n
+            if p < least[d]:
+                least[d] = p
+            elif p > most[d]:
+                most[d] = p
+        else:
+            totals[d] = n
+            least[d] = most[d] = p
         euler += n if d % 2 == 0 else -n
     top = DIM - codim
-    if _could_collapse_fail(page):
-        # True cohomology vanishes outside [0, top], so clamping tightens the bounds.
-        bounds = {d: n for d, n in by_degree.items() if 0 <= d <= top}
-        if len(bounds) > 1:
-            return SectionResult("euler_only", CohomologyTable.from_dict(bounds), euler)
-        # At most one degree d survives the clamp, so chi = (-1)^d h^d fixes the table.
-        by_degree = {d: (-1) ** d * euler for d in bounds}
-        if (euler and not bounds) or any(not 0 <= n <= bounds[d] for d, n in by_degree.items()):
-            raise ArithmeticError(
-                f"Euler number {euler} contradicts the page bounds {bounds} "
-                f"for {b} at codim {codim}")
-    elif any(d < 0 or d > top for d in by_degree):
-        raise ArithmeticError(f"degenerate page for {b} at codim {codim}: {page}")
-    return SectionResult("exact", CohomologyTable.from_dict(by_degree), euler)
+    in_range = [d for d in totals if 0 <= d <= top]
+    # A differential maps (p, q) to (p - r, q - r + 1), r >= 1: it raises d by one and lowers
+    # p, so y_d is 0 unless d joins, that is most[d] > least[d + 1].
+    if len(in_range) > 1:
+        joinable = {d for d, p in most.items() if p > least.get(d + 1, p)}
+        if not joinable:   # E1 = E_infinity
+            if len(in_range) < len(totals):
+                raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
+                                      f"h^d = 0 outside [0, {top}]: {page}")
+            return SectionResult("exact", CohomologyTable.from_dict(totals), euler)
+        # h^d = E_d - y_{d-1} - y_d, with h^d >= 0 on [0, top] and h^d = 0 outside it
+        degrees = range(min(totals), max(totals) + 1)
+        e = [totals.get(d, 0) for d in degrees]
+        sums = _chain([0 if 0 <= d <= top else n for d, n in zip(degrees, e)], e,
+                      [d in joinable for d in degrees[:-1]])
+        if sums is None:
+            raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
+                                  f"h^d >= 0 on [0, {top}] and h^d = 0 outside it")
+        lo, hi = sums
+        upper = CohomologyTable.from_dict({d: n - s for d, n, s in zip(degrees, e, lo)})
+        return SectionResult("exact" if lo == hi else "euler_only", upper, euler)
+    # At most one degree d0 in [0, top], so chi = (-1)^d0 h^d0 and h^d = 0 elsewhere.  That
+    # pins every sum of the chain, which reduces to y_d = E_d - h^d - y_{d-1}: it must stay
+    # >= 0 and vanish where d does not join, as after the last degree.
+    d0 = in_range[0] if in_range else None
+    h = 0 if d0 is None else euler if d0 % 2 == 0 else -euler
+    y = 0
+    for d in sorted(totals):
+        y = totals[d] - y - (h if d == d0 else 0)
+        if y and (y < 0 or most[d] <= least.get(d + 1, most[d])):
+            break
+    if y or h < 0:
+        raise ArithmeticError(
+            f"Euler number {euler} contradicts the page totals {totals} for {b} at codim {codim}")
+    return SectionResult("exact", CohomologyTable.from_dict({} if d0 is None else {d0: h}), euler)
 
 
 def section_hilbert(codim: int, k: int) -> int:
@@ -127,6 +176,7 @@ def section_hilbert(codim: int, k: int) -> int:
 
 
 Term = Optional[CohomologyTable]
+Bounds = tuple[list[int], list[int]]   # per-degree (lo, hi) of one term
 
 
 @dataclass(frozen=True)
@@ -154,121 +204,67 @@ class SpliceProblem:
         return self.terms.index(UNKNOWN)
 
 
-def _les_ranks(tables: Sequence[Optional[dict[int, int]]], dim: int):
-    """Interval propagation on the ranks of a long exact sequence.
+def _ses(terms: Sequence[Bounds]) -> list[Bounds]:
+    """Exact per-degree bounds on the terms of 0 -> T0 -> T1 -> T2 -> 0.
 
-    ``tables`` lists the sheaves of a short exact sequence in order; one
-    entry is None (unknown).  The flattened sequence T_0, T_1, ... runs
-    through degrees 0..dim.  Returns (lo, hi) interval arrays for the
-    flattened dimensions of the unknown, or raises SpliceError.
+    Each term comes as per-degree (lo, hi) bounds.  In the flattened long
+    exact sequence H^0(T0), H^0(T1), H^0(T2), H^1(T0), ... every entry is the
+    rank of the map into it plus the rank of the map out of it: a chain.
     """
-    width = len(tables)
-    n_flat = width * (dim + 1)
-    t: list[Optional[int]] = []
-    for d in range(dim + 1):
-        for tab in tables:
-            t.append(None if tab is None else tab.get(d, 0))
-
-    # r[i] = rank of the map into T_i; r[0] and r[n_flat] are zero.
-    lo = [0] * (n_flat + 1)
-    hi = [0] * (n_flat + 1)
-    big = sum(v for v in t if v is not None) + 1
-    for i in range(1, n_flat):
-        caps = [v for v in (t[i - 1], t[i]) if v is not None]
-        hi[i] = min(caps) if caps else big
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_flat):
-            if t[i] is None:
-                continue
-            # r[i] + r[i+1] = t[i]
-            new_lo_a = max(lo[i], t[i] - hi[i + 1])
-            new_hi_a = min(hi[i], t[i] - lo[i + 1])
-            new_lo_b = max(lo[i + 1], t[i] - hi[i])
-            new_hi_b = min(hi[i + 1], t[i] - lo[i])
-            if new_lo_a > new_hi_a or new_lo_b > new_hi_b:
-                raise SpliceError("known tables admit no exact sequence")
-            if (new_lo_a, new_hi_a) != (lo[i], hi[i]):
-                lo[i], hi[i] = new_lo_a, new_hi_a
-                changed = True
-            if (new_lo_b, new_hi_b) != (lo[i + 1], hi[i + 1]):
-                lo[i + 1], hi[i + 1] = new_lo_b, new_hi_b
-                changed = True
-    return t, lo, hi
-
-
-def _solve_ses(tables: Sequence[Term], dim: int) -> SectionResult:
-    """Solve a 3-term exact sequence with one unknown sheaf."""
-    u = tables.index(UNKNOWN)
-    dicts = [None if tab is None else tab.dims() for tab in tables]
-    t, lo, hi = _les_ranks(dicts, dim)
-
-    width = len(tables)
-    low_table: dict[int, int] = {}
-    high_table: dict[int, int] = {}
-    forced = True
-    for d in range(dim + 1):
-        i = width * d + u
-        lo_dim = lo[i] + lo[i + 1]
-        hi_dim = hi[i] + hi[i + 1]
-        if lo_dim != hi_dim:
-            forced = False
-        if hi_dim:
-            high_table[d] = hi_dim
-        if lo_dim:
-            low_table[d] = lo_dim
-
-    euler = _unknown_euler(tables)
-    if forced:
-        return SectionResult("exact", CohomologyTable.from_dict(low_table), euler)
-    return SectionResult("euler_only", CohomologyTable.from_dict(high_table), euler)
+    a = [n for row in zip(*(lo for lo, _ in terms)) for n in row]
+    b = [n for row in zip(*(hi for _, hi in terms)) for n in row]
+    sums = _chain(a, b, [True] * (len(a) - 1))
+    if sums is None:
+        raise SpliceError("known tables admit no exact sequence")
+    lo, hi = sums
+    return [(lo[j::3], hi[j::3]) for j in range(3)]
 
 
 def splice_solve(problem: SpliceProblem) -> SectionResult:
-    """Solve for the unknown cohomology table in a 3- or 4-term sequence."""
-    terms = problem.terms
-    dim = problem.dim
-    u = problem.unknown_index
+    """Solve for the unknown cohomology table in a 3- or 4-term sequence.
 
-    if len(terms) == 3:
-        return _solve_ses(terms, dim)
+    Every term is a per-degree interval: a known table is pinned, and the
+    unknown runs from 0 to more than all known entries together.  A 3-term
+    sequence is one chain (``_ses``).  A 4-term sequence 0 -> A -> B -> C ->
+    D -> 0 splits through M = image(B -> C) into 0 -> A -> B -> M -> 0 and
+    0 -> M -> C -> D -> 0, with M a second interval unknown shared by the
+    two; the sequence without the unknown runs first, then the two alternate
+    until a pass leaves M unchanged.  The result is ``exact`` when every
+    degree of the unknown is pinned, else ``euler_only`` with its upper
+    bounds; the Euler number is exact either way.
+    """
+    terms, u = problem.terms, problem.unknown_index
+    degrees = range(problem.dim + 1)
+    big = 1 + sum(n for t in terms if t is not UNKNOWN for _, n in t.entries)
 
-    a, b, c, d = terms
-    # Split 0 -> A -> B -> C -> D -> 0 through M = image(B -> C):
-    #   0 -> A -> B -> M -> 0   and   0 -> M -> C -> D -> 0.
-    if u in (0, 1):
-        mid = _solve_ses([UNKNOWN, c, d], dim)
-        if not mid.exact:
-            return _loose_four_term(terms, dim)
-        first = [a, b, mid.table]
-        first[u] = UNKNOWN
-        return _solve_ses(first, dim)
-    mid = _solve_ses([a, b, UNKNOWN], dim)
-    if not mid.exact:
-        return _loose_four_term(terms, dim)
-    second = [mid.table, c, d]
-    second[u - 1] = UNKNOWN
-    return _solve_ses(second, dim)
+    def interval(t: Term) -> Bounds:
+        if t is UNKNOWN:
+            return [0] * len(degrees), [big] * len(degrees)
+        dims = t.dims()
+        return ([dims.get(d, 0) for d in degrees],) * 2
 
-
-def _unknown_euler(terms: Sequence[Term]) -> int:
-    """Euler number of the unknown term: the alternating sum over an exact sequence is zero."""
-    known = sum((-1) ** i * t.euler for i, t in enumerate(terms) if t is not UNKNOWN)
-    return (-1) ** (terms.index(UNKNOWN) + 1) * known
-
-
-def _loose_four_term(terms: tuple[Term, ...], dim: int) -> SectionResult:
-    """Euler-only fallback when the intermediate sheaf is not forced."""
-    neighbors: dict[int, int] = {}
-    for t in terms:
-        if isinstance(t, CohomologyTable):
-            for deg, n in t.entries:
-                for d2 in (deg - 1, deg, deg + 1):
-                    if 0 <= d2 <= dim:
-                        neighbors[d2] = neighbors.get(d2, 0) + n
-    return SectionResult("euler_only", CohomologyTable.from_dict(neighbors), _unknown_euler(terms))
+    bounds = [interval(t) for t in terms]
+    if len(bounds) == 3:
+        bounds = _ses(bounds)
+    else:
+        left, right = bounds[:2], bounds[2:]
+        # the first pass bounds M by known entries, below big, so the unknown's side always runs
+        mid, on_right = interval(UNKNOWN), u < 2
+        while True:
+            if on_right:
+                new_mid, *right = _ses([mid, *right])
+            else:
+                *left, new_mid = _ses([*left, mid])
+            if new_mid == mid:
+                break
+            mid, on_right = new_mid, not on_right
+        bounds = left + right
+    lo, hi = bounds[u]
+    # the alternating sum of Euler numbers over an exact sequence is zero
+    euler = (-1) ** (u + 1) * sum((-1) ** i * t.euler
+                                  for i, t in enumerate(terms) if t is not UNKNOWN)
+    return SectionResult("exact" if lo == hi else "euler_only",
+                         CohomologyTable.from_dict(dict(zip(degrees, hi))), euler)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ is enumerated element by element, weight multiplicities come from
 Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula.  The
 cohomology rings are recomputed as truncated polynomial rings in the
 hyperplane variables, from the relations stated in the intersect module
-docstring, with no structure-constant tables.
+docstring, with no structure-constant tables.  Section tables and splices
+are found by enumerating every rank of every differential or map, with no
+interval propagation.
 """
 
 from __future__ import annotations
@@ -318,3 +320,83 @@ class PolyRing:
         ch4 = self.add(self.mul(c1sq, c1sq), self.mul(c1sq, c2), self.mul(c2, c2),
                        scales=[Q(1, 24), Q(-1, 6), Q(1, 12)])
         return self.add(self.unit(), c1, ch2, ch3, ch4, scales=[2, 1, 1, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# section and splice oracle: every assignment of differential and map ranks
+# ---------------------------------------------------------------------------
+
+
+def page_tables(page: dict[tuple[int, int], int], top: int) -> set[tuple[tuple[int, int], ...]]:
+    """Every cohomology table a Koszul first page allows, as sorted (degree, dim) entries.
+
+    A page-r differential maps the cell (p, q) to (p - r, q - r + 1), r >= 1,
+    so it raises the degree d = q - p by one.  The total rank y_d of the
+    differentials out of degree d is any nonnegative integer when some pair
+    of cells is joined that way, and 0 otherwise.  Then h^d = E_d - y_{d-1} -
+    y_d, which must be >= 0, and 0 outside [0, top].  Empty when no ranks fit.
+    """
+    totals: Counter = Counter()
+    for (p, q), n in page.items():
+        totals[q - p] += n
+    joins = {q - p for p, q in page for p2, q2 in page if p > p2 and q2 == q - (p - p2) + 1}
+    degrees = sorted(totals)
+    found = set()
+
+    def walk(i: int, y_in: int, table: tuple) -> None:
+        if i == len(degrees):
+            found.add(table)
+            return
+        d = degrees[i]
+        for y in range(totals[d] - y_in + 1) if d in joins else (0,):
+            h = totals[d] - y_in - y
+            if h == 0 or h > 0 and 0 <= d <= top:
+                walk(i + 1, y, table + ((d, h),) if h else table)
+
+    walk(0, 0, ())
+    return found
+
+
+def ses_tables(terms: list, dim: int) -> set[tuple[int, ...]]:
+    """Every table (dims in degrees 0..dim) of the one unknown (None) term of
+    0 -> T0 -> T1 -> T2 -> 0, the known terms given as dim + 1 dims each.
+
+    The long exact sequence H^0(T0) -> H^0(T1) -> H^0(T2) -> H^1(T0) -> ...
+    is exact, so each entry is r_in + r_out, the ranks of the maps into and
+    out of it, with the ranks before the first and after the last entry 0.
+    The ranks are enumerated one by one: a known entry fixes the next rank,
+    and the rank out of the unknown entry ranges up to the next known entry.
+    """
+    flat = [None if t is None else t[d] for d in range(dim + 1) for t in terms]
+    found = set()
+
+    def walk(i: int, r_in: int, unknown: tuple) -> None:
+        if i == len(flat):
+            if r_in == 0:
+                found.add(unknown)
+            return
+        if flat[i] is not None:
+            if flat[i] >= r_in:
+                walk(i + 1, flat[i] - r_in, unknown)
+            return
+        cap = flat[i + 1] if i + 1 < len(flat) else 0
+        for r_out in range(cap + 1):
+            walk(i + 1, r_out, unknown + (r_in + r_out,))
+
+    walk(0, 0, ())
+    return found
+
+
+def splice_tables(terms: list, dim: int) -> set[tuple[int, ...]]:
+    """Every table of the one unknown term of a 3- or 4-term exact sequence.
+
+    A 4-term sequence 0 -> A -> B -> C -> D -> 0 is the two short ones
+    through M = image(B -> C): each M the side without the unknown allows is
+    tried as a known term of the other side.
+    """
+    if len(terms) == 3:
+        return ses_tables(terms, dim)
+    a, b, c, d = terms
+    if None in (a, b):
+        return {t for m in ses_tables([None, c, d], dim) for t in ses_tables([a, b, m], dim)}
+    return {t for m in ses_tables([a, b, None], dim) for t in ses_tables([m, c, d], dim)}

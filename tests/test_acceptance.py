@@ -218,5 +218,11 @@ def test_criterion_12e_euler_conservation():
         assert sections.section_hilbert(8, k) == 2 + 6 * k ** 2
         assert sections.section_hilbert(9, k) == 12 * k - 6
     statuses = {sections.section_cohomology(O(k), 9).status for k in range(-9, 10)}
-    assert "euler_only" in statuses  # the sweep does cross spectral statuses
+    # a page whose differentials the chain cannot pin keeps its upper bounds,
+    # with the Euler number of the Koszul resolution
+    wide = irreducible(Weight((0, 0, -2, -2, -2)))
+    res = sections.section_cohomology(wide, 6)
+    assert res.status == "euler_only" and res.table.dims() == {3: 121, 4: 96}
+    assert res.euler == -25 == sum((-1) ** p * comb(6, p) * hilbert(wide, -p) for p in range(7))
+    assert statuses | {res.status} == {"exact", "euler_only"}  # the sweep crosses statuses
     _report("criterion 12e", "Euler conservation across spectral statuses, twists |k| <= 9")

@@ -115,6 +115,12 @@ class TestKoszulCommand:
                               "--twist", "2")
         assert (code, out) == (0, "status: exact\nh: {0: 755}\neuler: 755\n")
 
+    def test_curve_structure_sheaf_has_genus_7(self, capsys):
+        # two degrees in [0, 1] with joinable cells; this printed the clamped
+        # page totals as bounds, "status: euler_only", "h: {0: 1, 1: 16}"
+        code, out, _ = invoke(capsys, "koszul", "--codim", "9", "--bundle", "O")
+        assert (code, out) == (0, "status: exact\nh: {0: 1, 1: 7}\neuler: -6\n")
+
     def test_codim_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "koszul", "--codim", "12", "--bundle", "O")
         assert code == 1

@@ -1,32 +1,43 @@
 """Section tables against an oracle that does not read the Koszul page:
-Serre duality on the section, and Hilbert polynomials of the threefold, the
-K3 and the curve where the higher cohomology is known to vanish."""
+Serre duality on the section, Hilbert polynomials of the threefold, the
+K3 and the curve where the higher cohomology is known to vanish, and the
+genus of the curve."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorcalc.bbw import DIM, O, make_bundle
 from spinorcalc.sections import section_cohomology
+from test_koszul_columns import bundle_exprs
 
 BASES = ("O", "U", "dual(U)", "U*U", "U*dual(U)", "dual(U)*dual(U)")
 TWISTS = range(-9, 10)
 
 
-def test_serre_duality_on_sections():
-    # the canonical bundle of the codim-c section is O(c - 8), and its dimension is 10 - c
+def _serre_pairs(b) -> int:
+    """Check Serre duality on each codim-6..9 section where b and its dual partner are
+    both exact; the canonical bundle is O(c - 8), the dimension 10 - c.  Returns the count."""
     pairs = 0
-    for expr in BASES:
-        base = make_bundle(expr)
-        for k in TWISTS:
-            b = base.twist(k)
-            for codim in range(6, 10):
-                lhs = section_cohomology(b, codim)
-                rhs = section_cohomology(b.dual().twist(codim - 8), codim)
-                if lhs.exact and rhs.exact:
-                    n = DIM - codim
-                    assert lhs.table.dims() == {n - d: m for d, m in rhs.table.entries}, \
-                        (expr, k, codim)
-                    pairs += 1
-    assert pairs >= 452   # 452 doubly exact pairs of 456; 52 before single-degree tables
+    for codim in range(6, 10):
+        lhs = section_cohomology(b, codim)
+        rhs = section_cohomology(b.dual().twist(codim - 8), codim)
+        if lhs.exact and rhs.exact:
+            n = DIM - codim
+            assert lhs.table.dims() == {n - d: m for d, m in rhs.table.entries}, (b, codim)
+            pairs += 1
+    return pairs
+
+
+def test_serre_duality_on_sections():
+    pairs = sum(_serre_pairs(make_bundle(expr).twist(k)) for expr in BASES for k in TWISTS)
+    assert pairs >= 456   # all 456 pairs; 452 with single-degree tables only, 52 before them
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_exprs(), st.integers(-9, 9))
+def test_serre_duality_on_random_bundles(expr, k):
+    _serre_pairs(make_bundle(expr).twist(k))
 
 
 @pytest.mark.parametrize("k", range(0, 10))
@@ -45,3 +56,9 @@ def test_k3_ample_twists(k):
 def test_curve_twists_past_the_canonical(k):
     res = section_cohomology(O(k), 9)
     assert res.exact and res.table.dims() == {0: 12 * k - 6}
+
+
+def test_curve_genus():
+    # the curve is connected of genus 7: h^0(O_C) = 1 and h^1(O_C) = 7
+    res = section_cohomology(O(), 9)
+    assert res.exact and res.table.dims() == {0: 1, 1: 7}

@@ -44,12 +44,13 @@ class TestSectionCohomology:
         assert res.exact and res.table.dims() == {0: 1, 2: 1}
         assert res.euler == 2
 
-    def test_curve_structure_sheaf_is_euler_only(self):
-        # two page entries can be joined by a first-page differential
+    def test_curve_structure_sheaf_has_genus_7(self):
+        # two page degrees in [0, 1] with joinable cells: the chain pins both,
+        # h^1(O_C) = 7 = genus, and O_C(1) = K_C is its Serre dual
         res = section_cohomology(O(), 9)
-        assert res.status == "euler_only"
-        assert res.euler == -6
-        assert res.table.dim(0) >= 1 and res.table.dim(1) >= 7
+        assert res.exact and res.table.dims() == {0: 1, 1: 7} and res.euler == -6
+        res = section_cohomology(O(1), 9)
+        assert res.exact and res.table.dims() == {0: 7, 1: 1} and res.euler == 6
 
     def test_single_degree_bound_is_exact(self):
         # a differential could act, but only degree 0 lies in [0, 3]: h^0 = chi
