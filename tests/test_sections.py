@@ -72,6 +72,14 @@ class TestSectionCohomology:
         with pytest.raises(ArithmeticError, match="contradicts"):
             section_cohomology(O(), 7)
 
+    def test_isolated_cell_outside_the_range_raises(self, monkeypatch):
+        # only degree 0 lies in [0, 1], but no differential reaches the cell in
+        # degree -3, so no ranks fit; this returned exact, {}
+        monkeypatch.setattr(sections, "koszul_page",
+                            lambda b, codim: {(3, 0): 1, (2, 1): 1, (1, 1): 2})
+        with pytest.raises(ArithmeticError, match="contradicts"):
+            section_cohomology(O(), 9)
+
     def test_codim_validation(self):
         with pytest.raises(ValueError):
             section_cohomology(O(), 0)
@@ -181,6 +189,12 @@ class TestSplice:
         # two acyclic middle terms shift the degree down twice
         res = splice_solve(SpliceProblem((T({3: 5}), T({}), T({}), UNKNOWN), dim=3))
         assert res.exact and res.table.dims() == {1: 5}
+
+    def test_four_term_contradiction_raises(self):
+        # B = 0 makes C -> D an isomorphism, so C and D must have equal tables;
+        # this returned euler_only bounds
+        with pytest.raises(SpliceError):
+            splice_solve(SpliceProblem((UNKNOWN, T({}), T({0: 1}), T({0: 2})), dim=1))
 
     def test_four_term_euler(self):
         res = splice_solve(SpliceProblem((UNKNOWN, T({0: 7}), T({0: 2}), T({1: 1})), dim=3))
