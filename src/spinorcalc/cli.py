@@ -289,22 +289,22 @@ def _suite_sod() -> list[VerifyCheck]:
                          "glued-kernel transform kills the orthogonal complement",
                          True, all(mukai.commdiag_check(v) for v in basis)))
 
-    phi1, phi1s = mukai.kernel_phi1(), mukai.kernel_phi1_shriek()
-    adj_ok = all(
-        mukai.euler(X, mukai.transform(phi1, CohClass.basis_class(C, lb)), ca)
-        == mukai.euler(C, CohClass.basis_class(C, lb), mukai.transform(phi1s, ca))
-        for lb in C.basis for ca in [CohClass.basis_class(X, l) for l in X.basis]
-    )
+    def images(kernel, basis):
+        return [(b, mukai.transform(kernel, b)) for b in basis]
+
+    x_basis, c_basis, s_basis, sd_basis = ([CohClass.basis_class(m, l) for l in m.basis]
+                                           for m in (X, C, Ssurf, Sd))
+    phi1_c = images(mukai.kernel_phi1(), c_basis)
+    phi1s_x = images(mukai.kernel_phi1_shriek(), x_basis)
+    adj_ok = all(mukai.euler(X, pb, a) == mukai.euler(C, b, pa)
+                 for b, pb in phi1_c for a, pa in phi1s_x)
     checks.append(_check("adjunction-threefold-curve",
                          "chi(Phi1 b, a) = chi(b, Phi1! a) on full bases", True, adj_ok))
-    phi2, phi2l = mukai.kernel_phi2(), mukai.kernel_phi2_left()
-    adj2_ok = all(
-        mukai.euler(Sd, mukai.transform(phi2l, CohClass.basis_class(Ssurf, la)),
-                    CohClass.basis_class(Sd, lb))
-        == mukai.euler(Ssurf, CohClass.basis_class(Ssurf, la),
-                       mukai.transform(phi2, CohClass.basis_class(Sd, lb)))
-        for la in Ssurf.basis for lb in Sd.basis
-    )
+    phi2 = mukai.kernel_phi2()
+    phi2l_s = images(mukai.kernel_phi2_left(), s_basis)
+    phi2_sd = images(phi2, sd_basis)
+    adj2_ok = all(mukai.euler(Sd, pa, b) == mukai.euler(Ssurf, a, pb)
+                  for a, pa in phi2l_s for b, pb in phi2_sd)
     checks.append(_check("adjunction-k3-pair",
                          "chi(Phi2* a, b) = chi(a, Phi2 b) on full bases", True, adj2_ok))
 

@@ -741,7 +741,7 @@ def _tensor_map(name: str, prod_src: RingModel, prod_tgt: RingModel,
 
 
 def _identity_map(model: RingModel) -> GeomMap:
-    eye = _matrix_of(lambda a: a, model)
+    eye = tuple(((i, 1),) for i in range(len(model.basis))), 1
     return GeomMap("id", model, model, eye, eye)
 
 
@@ -753,37 +753,53 @@ def _projection(name: str, prod: RingModel, keep: Literal["left", "right"]) -> G
                    _matrix_of(lambda a: lift(prod, a), factor))
 
 
+# The product models by name.  Only x_times_curve solves eta^2, so a map that
+# touches no threefold-curve product never solves it.
+_PRODUCTS: dict[str, Callable[[], RingModel]] = {
+    "XxC": x_times_curve, "SxSd": s_times_sdual, "XxSd": x_times_sdual, "SxC": s_times_curve,
+}
+
+# name -> (source product, target product, left factor map, right factor map);
+# a factor without a map carries the identity.
+_TENSOR_MAPS: dict[str, tuple[str, str, Optional[str], Optional[str]]] = {
+    "lambda1": ("SxC", "XxC", "alpha", None),
+    "lambda2": ("SxC", "SxSd", None, "beta"),
+    "mu1": ("XxC", "XxSd", None, "beta"),
+    "mu2": ("SxSd", "XxSd", "alpha", None),
+    "nu": ("SxC", "XxSd", "alpha", "beta"),
+}
+
+# "p:<product>" projects to the left factor, "q:<product>" to the right one.
+_PROJECTIONS: dict[str, tuple[str, Literal["left", "right"]]] = {
+    f"{side}:{prod}": (prod, keep)
+    for prod in _PRODUCTS for side, keep in (("p", "left"), ("q", "right"))
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _maps() -> dict[str, GeomMap]:
-    X, S, Sd, C = model_x(), model_s(), model_sdual(), model_curve()
-    alpha = GeomMap("alpha", S, X, _matrix(S, X, {"1": {"H": 1}, "H": {"L": 12}, "P": {"P": 1}}),
-                    _matrix(X, S, {"1": {"1": 1}, "H": {"H": 1}, "L": {"P": 1}}))
-    beta = GeomMap("beta", C, Sd, _matrix(C, Sd, {"1": {"H": 1}, "pt": {"P": 1}}),
-                   _matrix(Sd, C, {"1": {"1": 1}, "H": {"pt": 12}}))
-    XxC, SxS, XxS, SxC = x_times_curve(), s_times_sdual(), x_times_sdual(), s_times_curve()
-    table = {
-        "alpha": alpha,
-        "beta": beta,
-        "lambda1": _tensor_map("lambda1", SxC, XxC, alpha, None),
-        "lambda2": _tensor_map("lambda2", SxC, SxS, None, beta),
-        "mu1": _tensor_map("mu1", XxC, XxS, None, beta),
-        "mu2": _tensor_map("mu2", SxS, XxS, alpha, None),
-        "nu": _tensor_map("nu", SxC, XxS, alpha, beta),
-    }
-    for prod in (XxC, SxS, XxS, SxC):
-        table[f"p:{prod.name}"] = _projection(f"p:{prod.name}", prod, "left")
-        table[f"q:{prod.name}"] = _projection(f"q:{prod.name}", prod, "right")
-    return table
-
-
 def geom_map(name: str) -> GeomMap:
     """A named embedding or projection; apply it with ``.push`` or ``.pull``.
 
     Embeddings: alpha (K3 into threefold), beta (curve into dual K3),
     lambda1, lambda2, mu1, mu2, nu (their products).  Projections are
-    named ``p:<product>`` (to the left factor) and ``q:<product>``.
+    named ``p:<product>`` (to the left factor) and ``q:<product>``.  Each
+    map is built on first use, with only the models it touches.
     """
-    maps = _maps()
-    if name not in maps:
-        raise ValueError(f"unknown map {name!r}; known: {sorted(maps)}")
-    return maps[name]
+    if name == "alpha":
+        S, X = model_s(), model_x()
+        return GeomMap("alpha", S, X, _matrix(S, X, {"1": {"H": 1}, "H": {"L": 12}, "P": {"P": 1}}),
+                       _matrix(X, S, {"1": {"1": 1}, "H": {"H": 1}, "L": {"P": 1}}))
+    if name == "beta":
+        C, Sd = model_curve(), model_sdual()
+        return GeomMap("beta", C, Sd, _matrix(C, Sd, {"1": {"H": 1}, "pt": {"P": 1}}),
+                       _matrix(Sd, C, {"1": {"1": 1}, "H": {"pt": 12}}))
+    if name in _TENSOR_MAPS:
+        src, tgt, left, right = _TENSOR_MAPS[name]
+        return _tensor_map(name, _PRODUCTS[src](), _PRODUCTS[tgt](),
+                           geom_map(left) if left else None,
+                           geom_map(right) if right else None)
+    if name in _PROJECTIONS:
+        prod, keep = _PROJECTIONS[name]
+        return _projection(name, _PRODUCTS[prod](), keep)
+    known = sorted(["alpha", "beta", *_TENSOR_MAPS, *_PROJECTIONS])
+    raise ValueError(f"unknown map {name!r}; known: {known}")

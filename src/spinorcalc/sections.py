@@ -196,8 +196,12 @@ class SpliceProblem:
         if self.terms.count(UNKNOWN) != 1:
             raise ValueError("exactly one UNKNOWN term is required")
         for t in self.terms:
-            if t is not UNKNOWN and not isinstance(t, CohomologyTable):
+            if t is UNKNOWN:
+                continue
+            if not isinstance(t, CohomologyTable):
                 raise TypeError(f"bad splice term {t!r}")
+            if t.entries and t.entries[-1][0] > self.dim:
+                raise ValueError(f"splice term {t} has a degree above dim {self.dim}")
 
     @property
     def unknown_index(self) -> int:

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from spinorcalc import sections
+from spinorcalc import intersect, mukai, sections
 from spinorcalc.rootdata import RationalSyntaxError
 from spinorcalc.intersect import (
     ETA,
@@ -315,6 +315,36 @@ class TestPushPull:
             geom_map("alpha").push(CohClass.unit(model_x()))
         with pytest.raises(ValueError):
             geom_map("alpha").pull(CohClass.unit(model_s()))
+
+    def test_unknown_map_lists_every_name(self):
+        known = ["alpha", "beta", "lambda1", "lambda2", "mu1", "mu2", "nu",
+                 "p:SxC", "p:SxSd", "p:XxC", "p:XxSd", "q:SxC", "q:SxSd", "q:XxC", "q:XxSd"]
+        with pytest.raises(ValueError) as err:
+            geom_map("nope")
+        assert str(err.value) == f"unknown map 'nope'; known: {known}"
+        for name in known:
+            assert geom_map(name) is geom_map(name)
+
+
+def _clear_model_caches():
+    """Empty every memo that holds ring models or classes on them."""
+    for mod in (intersect, mukai):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) == mod.__name__ and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+class TestColdMaps:
+    def test_alpha_builds_no_product(self):
+        _clear_model_caches()
+        geom_map("alpha")
+        assert intersect._product_model.cache_info().currsize == 0
+        assert eta_square_solve.cache_info().currsize == 0
+
+    def test_k3_universal_bundle_solves_no_eta_square(self):
+        _clear_model_caches()
+        universal_ch(s_times_sdual())
+        assert eta_square_solve.cache_info().currsize == 0
 
 
 def test_serialization_round_trip():

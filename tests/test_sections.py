@@ -148,6 +148,11 @@ class TestSplice:
         with pytest.raises(TypeError):
             SpliceProblem((UNKNOWN, T({}), {0: 1}), dim=3)
 
+    def test_rejects_degree_above_dim(self):
+        # this returned an exact empty table with Euler number 1
+        with pytest.raises(ValueError, match="above dim 3"):
+            splice_solve(SpliceProblem((T({5: 1}), T({}), UNKNOWN), dim=3))
+
     def test_all_zero_forcing(self):
         res = splice_solve(SpliceProblem((T({}), T({}), UNKNOWN), dim=4))
         assert res.exact and res.table.is_zero and res.euler == 0
