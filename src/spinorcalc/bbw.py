@@ -21,17 +21,20 @@ the weight is rho-shifted and regularized; singular means no cohomology,
 otherwise the degree is the number of positive roots made negative and
 the dimension comes from the Weyl dimension formula for D5.
 
-``cohomology(b, k)`` gives H(b(k)) straight from the doubled weights of b
-shifted by k, memoized on (summands, k): the Koszul page columns H(b(-p)),
-``hilbert`` and plain ``cohomology(b)`` (k = 0) share one table per twist,
-and none of them builds the twisted bundle.
+``HomogBundle(...)`` validates its summands and puts them in canonical
+order; ``twist``, ``dual`` and ``*`` keep that form by construction and skip
+the checks.  ``cohomology(b, k)`` gives H(b(k)) straight from the doubled
+weights of b shifted by k, memoized on (b.twice, k), the summands as plain
+ints: the Koszul page columns H(b(-p)), ``hilbert`` and plain
+``cohomology(b)`` (k = 0) share one table per twist, and none of them
+builds the twisted bundle.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Union
 
@@ -68,6 +71,14 @@ class CohomologyTable:
     @classmethod
     def from_dict(cls, dims: dict[int, int]) -> "CohomologyTable":
         return cls(tuple(dims.items()))
+
+    @classmethod
+    def _canonical(cls, entries: tuple[tuple[int, int], ...]) -> "CohomologyTable":
+        """The table of ``entries`` that the caller built clean: degrees distinct,
+        nonnegative and increasing, dimensions positive.  Skips the validation."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "entries", entries)
+        return t
 
     @classmethod
     def zero(cls) -> "CohomologyTable":
@@ -109,9 +120,18 @@ class CohomologyTable:
 
 @dataclass(frozen=True)
 class HomogBundle:
-    """Formal sum of irreducible equivariant bundles, tagged by weight."""
+    """Formal sum of irreducible equivariant bundles, tagged by weight.
+
+    The constructor validates and canonicalizes: every weight GL5-dominant,
+    equal weights merged, zero multiplicities dropped, none negative, and
+    the summands in strictly decreasing order of doubled weight.  ``twist``,
+    ``dual`` and ``*`` keep that form by construction and skip the checks.
+    ``twice`` is the same summands as (doubled weight, multiplicity) ints,
+    the key of the cohomology memo.
+    """
 
     summands: tuple[tuple[Weight, int], ...]
+    twice: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts: Counter = Counter()
@@ -124,26 +144,43 @@ class HomogBundle:
         if any(m < 0 for _, m in clean):
             raise ValueError("negative multiplicity")
         object.__setattr__(self, "summands", clean)
+        object.__setattr__(self, "twice", tuple((w.twice, m) for w, m in clean))
+
+    @classmethod
+    def _canonical(cls, summands: tuple[tuple[Weight, int], ...]) -> "HomogBundle":
+        """The bundle of ``summands`` that the caller keeps canonical: dominant
+        weights, distinct and decreasing, with positive multiplicities."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "summands", summands)
+        object.__setattr__(b, "twice", tuple((w.twice, m) for w, m in summands))
+        return b
 
     @functools.cached_property
     def rank(self) -> int:
         return sum(m * weyl_dim(w, "GL5") for w, m in self.summands)
 
     def dual(self) -> "HomogBundle":
-        return HomogBundle(tuple((w.dual(), m) for w, m in self.summands))
+        # negating and reversing keeps weights dominant and distinct, but not in order
+        return HomogBundle._canonical(tuple(sorted(
+            ((w.dual(), m) for w, m in self.summands), key=lambda e: e[0].twice, reverse=True)))
 
     def twist(self, k: int) -> "HomogBundle":
-        """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones."""
-        return HomogBundle(tuple((Weight._from_twice(tuple(d + k for d in w.twice)), m)
-                                 for w, m in self.summands))
+        """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones.
+        The shift keeps each weight's parity, dominance and place in the order."""
+        return HomogBundle._canonical(tuple((Weight._unchecked(tuple(map(k.__add__, t))), m)
+                                            for t, m in self.twice))
 
     def __mul__(self, other: "HomogBundle") -> "HomogBundle":
-        counts: Counter = Counter()
+        weights: dict[tuple[int, ...], Weight] = {}
+        counts: dict[tuple[int, ...], int] = {}
         for w1, m1 in self.summands:
             for w2, m2 in other.summands:
                 for w, m in tensor_decompose(w1, w2):
-                    counts[w] += m1 * m2 * m
-        return HomogBundle(tuple(counts.items()))
+                    t = w.twice
+                    weights[t] = w
+                    counts[t] = counts.get(t, 0) + m1 * m2 * m
+        return HomogBundle._canonical(tuple((weights[t], counts[t])
+                                            for t in sorted(counts, reverse=True)))
 
     def __add__(self, other: "HomogBundle") -> "HomogBundle":
         return HomogBundle(self.summands + other.summands)
@@ -157,12 +194,12 @@ class HomogBundle:
 
 def O(k: int = 0) -> HomogBundle:
     """The line bundle O(k)."""
-    return HomogBundle(((Weight._from_twice((k,) * 5), 1),))
+    return HomogBundle._canonical(((Weight._from_twice((k,) * 5), 1),))
 
 
 def U() -> HomogBundle:
     """The rank-5 tautological subbundle."""
-    return HomogBundle(((Weight((0, 0, 0, 0, -1)), 1),))
+    return HomogBundle._canonical(((Weight._from_twice((0, 0, 0, 0, -2)), 1),))
 
 
 def irreducible(w: Weight) -> HomogBundle:
@@ -318,28 +355,29 @@ def _irreducible_cohomology(twice: tuple[int, ...]) -> Optional[tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=None)
-def _twisted_table(summands: tuple[tuple[Weight, int], ...], k: int) -> CohomologyTable:
-    """H(b(k)) for the bundle b with these (already validated) summands.
+def _twisted_table(twice: tuple[tuple[tuple[int, ...], int], ...], k: int) -> CohomologyTable:
+    """H(b(k)) for the bundle b with ``b.twice == twice``.
 
     Twisting adds k to every doubled coordinate; a GL5-dominant weight stays
     dominant, so no twisted bundle is built except to name it in an error.
     """
-    dims: Counter = Counter()
-    for w, m in summands:
-        hit = _irreducible_cohomology(tuple(d + k for d in w.twice))
+    dims: dict[int, int] = {}
+    for t, m in twice:
+        hit = _irreducible_cohomology(tuple(map(k.__add__, t)))
         if hit is not None:
             degree, dim = hit
-            dims[degree] += m * dim
-    table = CohomologyTable.from_dict(dict(dims))
-    if any(d > DIM for d, _ in table.entries):
-        raise ArithmeticError(
-            f"cohomological degree above {DIM} for {HomogBundle(summands).twist(k)}")
-    return table
+            dims[degree] = dims.get(degree, 0) + m * dim
+    # degrees count roots, so they are >= 0, and m and the Weyl dimensions are > 0
+    entries = tuple(sorted(dims.items()))
+    if entries and entries[-1][0] > DIM:
+        b = HomogBundle(tuple((Weight._from_twice(t), m) for t, m in twice))
+        raise ArithmeticError(f"cohomological degree above {DIM} for {b.twist(k)}")
+    return CohomologyTable._canonical(entries)
 
 
 def cohomology(b: HomogBundle, k: int = 0) -> CohomologyTable:
     """Sheaf cohomology of the twist b(k) on the tenfold, summand by summand."""
-    return _twisted_table(b.summands, k)
+    return _twisted_table(b.twice, k)
 
 
 def hilbert(b: HomogBundle, k: int) -> int:

@@ -125,6 +125,12 @@ class Weight:
             raise ValueError(f"expected {RANK} coordinates, got {len(twice)}")
         if len({d & 1 for d in twice}) > 1:
             raise ValueError(f"mixed integer/half-integer coordinates: {_halves(twice)}")
+        return cls._unchecked(twice)
+
+    @classmethod
+    def _unchecked(cls, twice: tuple[int, ...]) -> "Weight":
+        """The weight with doubled coordinates ``twice``, which the caller knows
+        to be RANK ints of one parity."""
         w = object.__new__(cls)
         object.__setattr__(w, "twice", twice)
         return w
@@ -268,7 +274,8 @@ def weyl_dim(lam: Weight, flavor: Flavor) -> int:
 def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Littlewood-Richardson expansion of two partitions, truncated to 5 rows.
 
-    Returns (shape, multiplicity) pairs, shapes in decreasing order.
+    Returns (doubled shape, multiplicity) pairs, shapes in decreasing order;
+    every doubled entry is even.
     Enumerates chains of horizontal strips subject to the ballot condition:
     the boxes added for letter i+1 within the first r+1 rows never exceed
     the boxes of letter i within the first r rows.
@@ -303,7 +310,8 @@ def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple
         place(0, size, 0)
 
     add_letter(tuple(lam), (sum(mu),) * RANK, 0)
-    return tuple(sorted(out.items(), reverse=True))
+    return tuple(sorted(((tuple(2 * c for c in shape), m) for shape, m in out.items()),
+                        reverse=True))
 
 
 def tensor_decompose(lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
@@ -325,5 +333,6 @@ def tensor_decompose(lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     # c^nu_{lam,mu} = c^nu_{mu,lam}: key the LR cache on the pair with the
     # larger partition first, so the smaller one's letters are placed
     pair = sorted((lam_p, mu_p), key=lambda p: (sum(p), p), reverse=True)
-    return tuple((Weight._from_twice(tuple(2 * c + shift for c in shape)), m)
+    # the doubled shapes are even, so adding one shift keeps every entry's parity equal
+    return tuple((Weight._unchecked(tuple(map(shift.__add__, shape))), m)
                  for shape, m in _lr_products(*pair))

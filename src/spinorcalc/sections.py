@@ -137,7 +137,9 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
             if len(in_range) < len(totals):
                 raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
                                       f"h^d = 0 outside [0, {top}]: {page}")
-            return SectionResult("exact", CohomologyTable.from_dict(totals), euler)
+            # every degree is in [0, top] and every total is positive
+            return SectionResult("exact", CohomologyTable._canonical(tuple(sorted(totals.items()))),
+                                 euler)
         # h^d = E_d - y_{d-1} - y_d, with h^d >= 0 on [0, top] and h^d = 0 outside it
         degrees = range(min(totals), max(totals) + 1)
         e = [totals.get(d, 0) for d in degrees]
@@ -162,7 +164,7 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     if y or h < 0:
         raise ArithmeticError(
             f"Euler number {euler} contradicts the page totals {totals} for {b} at codim {codim}")
-    return SectionResult("exact", CohomologyTable.from_dict({} if d0 is None else {d0: h}), euler)
+    return SectionResult("exact", CohomologyTable._canonical(((d0, h),) if h else ()), euler)
 
 
 def section_hilbert(codim: int, k: int) -> int:

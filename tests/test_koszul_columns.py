@@ -1,6 +1,8 @@
 """Koszul page columns read from twisted weights: random grammar expressions
 against the rebuilt twisted bundles, and a guard that a section table of a
-built bundle builds no further bundle."""
+built bundle builds no further bundle.  Also: ``twist``, ``dual`` and ``*``
+return canonical bundles without running the validating constructor, and the
+column memo is keyed on ints."""
 
 from math import comb
 
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorcalc import bbw
-from spinorcalc.bbw import HomogBundle, cohomology, hilbert, make_bundle
+from spinorcalc.bbw import CohomologyTable, HomogBundle, cohomology, hilbert, make_bundle
+from spinorcalc.rootdata import Weight
 from spinorcalc.sections import koszul_page, section_cohomology
 
 
@@ -54,3 +57,63 @@ def test_section_table_builds_no_bundle(monkeypatch):
     monkeypatch.setattr(HomogBundle, "__post_init__", counting)
     section_cohomology(b, 9)
     assert built == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_exprs(), bundle_exprs(atoms=2, nesting=1), st.integers(-9, 9))
+def test_unchecked_operations_stay_canonical(expr, other, k):
+    b, c = make_bundle(expr), make_bundle(other)
+    for x in (b.twist(k), b.dual(), b * c, c * b):
+        validated = HomogBundle(x.summands)
+        assert validated.summands == x.summands
+        assert validated.twice == x.twice
+    for j in range(-9, 10):
+        table = cohomology(b, j)
+        assert table.entries == CohomologyTable.from_dict(table.dims()).entries
+
+
+def test_operations_skip_validation(monkeypatch):
+    b, c = make_bundle("dual(U)(1)*U"), make_bundle("U(-2)*O(3)")
+    built = []
+    validate = HomogBundle.__post_init__
+
+    def counting(self) -> None:
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(HomogBundle, "__post_init__", counting)
+    results = [b.twist(5), b.dual(), b * c, c.dual().twist(-1) * b]
+    assert built == []
+    monkeypatch.undo()
+    assert results[0] == HomogBundle(b.summands).twist(5)
+
+
+def test_memo_hit_hashes_no_weight(monkeypatch):
+    b = make_bundle("dual(U)(1)*U")
+    table = cohomology(b, -3)   # the memo now holds this column
+    hashed = []
+    weight_hash = Weight.__hash__
+
+    def counting(self) -> int:
+        hashed.append(self)
+        return weight_hash(self)
+
+    monkeypatch.setattr(Weight, "__hash__", counting)
+    hits = bbw._twisted_table.cache_info().hits
+    assert cohomology(b, -3) is table
+    assert bbw._twisted_table.cache_info().hits == hits + 1
+    assert hashed == []
+
+
+def test_degree_above_dim_names_the_twisted_bundle(monkeypatch):
+    b = make_bundle("dual(U)*U")
+    bbw._twisted_table.cache_clear()
+    monkeypatch.setattr(bbw, "_irreducible_cohomology", lambda twice: (bbw.DIM + 1, 1))
+    try:
+        cohomology(b, 2)
+    except ArithmeticError as exc:
+        assert str(exc) == "cohomological degree above 10 for (2,1,1,1,0) + (1,1,1,1,1)"
+    else:
+        raise AssertionError("no ArithmeticError")
+    finally:
+        bbw._twisted_table.cache_clear()

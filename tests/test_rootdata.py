@@ -246,3 +246,18 @@ class TestTensor:
         lam, mu = Weight((2, 1, 0, 0, -1)), Weight((1, 1, 1, 0, 0))
         assert tensor_decompose(lam, mu) == tensor_decompose(mu, lam)
 
+    def test_half_integer_box_weights_are_canonical(self):
+        # the LR shapes are cached doubled and shifted without a parity check: every
+        # returned weight must be the one the checking constructor builds, strictly decreasing
+        box = box_partitions(3)
+        twists = [Q(t, 2) for t in (-3, -1, 0, 1, 4, 5)]
+        for i, lam in enumerate(box):
+            for j, mu in enumerate(box):
+                dec = tensor_decompose(lam.shifted(twists[i % 6]), mu.shifted(twists[(i + j) % 6]))
+                for w, _ in dec:
+                    rebuilt = Weight(w.coords)
+                    assert w == rebuilt and hash(w) == hash(rebuilt), (lam, mu, w)
+                    assert all(type(d) is int for d in w.twice)
+                twice = [w.twice for w, _ in dec]
+                assert all(a > b for a, b in zip(twice, twice[1:])), (lam, mu)
+
