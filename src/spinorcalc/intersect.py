@@ -590,18 +590,16 @@ def _solve_linear(rows: list[list[Q]]) -> tuple[Q, Q]:
 
 
 @functools.lru_cache(maxsize=None)
-def universal_ch(prod: RingModel) -> CohClass:
-    """ch of the universal rank-2 bundle on a moduli product model.
+def _universal_ansatz(left: RingModel, right: RingModel) -> tuple[CohClass, CohClass, CohClass]:
+    """(ch1, ch3, c2 without eta) of the universal bundle, solved once per factor pair.
 
-    ``prod`` is ``x_times_curve(...)`` (threefold times dual curve) or
-    ``s_times_sdual()`` (K3 times dual K3).  The odd character comes from
-    ch(dual U_+) - ch(U_-) being twice the odd part; c2 is a Kunneth ansatz
-    (cross term, fiber terms, plus eta on the threefold product) solved from
-    the rank-2 identity 3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise
-    constraint that each fiber has c2 = 5 times the point or line class.  The
-    character is rebuilt from c1 and c2, and its odd part must match.
+    The ansatz lives on the eta-free Kunneth product of the two factors.
+    The odd character comes from ch(dual U_+) - ch(U_-) being twice the odd
+    part; c2 is a * cross + b * fiber_term, with (a, b) solved from the
+    rank-2 identity 3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise
+    constraint that each left fiber has c2 = 5 times its line or point class.
     """
-    left, right = prod.factors
+    prod = _product_model(left, right, None)
     plus = tautological_ch(left).dual()     # ch(dual U_+) on the left factor
     minus = tautological_ch(right)          # ch(U_-) on the right factor
     diff = lift_left(prod, plus) - lift_right(prod, minus)
@@ -616,20 +614,46 @@ def universal_ch(prod: RingModel) -> CohClass:
     for lift, factor in ((lift_left, left), (lift_right, right)):
         if 2 in factor.grades:
             fiber_term = fiber_term + lift(prod, _codim2_class(factor))
-    extra = CohClass.basis_class(prod, ETA) if ETA in prod.index else CohClass.zero(prod)
 
-    # c2 = a * cross + b * fiber_term + extra.  Each condition below is affine in
-    # (a, b) and listed as its (a, b, constant) parts: the rank-2 identity
-    # 3 c1 c2 = ch1^3 - 6 ch3, and c2 = 5 points/lines on every left fiber.
+    # Each condition is affine in (a, b) and listed as its (a, b, constant) parts:
+    # the rank-2 identity, and c2 = 5 lines/points on every left fiber.
     conditions = [
-        ((ch1 * cross).scale(3), (ch1 * fiber_term).scale(3),
-         (ch1 * extra).scale(3) - ch1 * ch1 * ch1 + ch3.scale(6)),
+        ((ch1 * cross).scale(3), (ch1 * fiber_term).scale(3), ch3.scale(6) - ch1 * ch1 * ch1),
         (restrict_to_left_fiber(prod, cross), restrict_to_left_fiber(prod, fiber_term),
-         restrict_to_left_fiber(prod, extra) - _codim2_class(left).scale(5)),
+         _codim2_class(left).scale(-5)),
     ]
     a, b = _solve_linear([[part.coefficient(l) for part in parts]
                           for parts in conditions for l in parts[0].model.basis])
-    c2 = cross.scale(a) + fiber_term.scale(b) + extra
+    return ch1, ch3, cross.scale(a) + fiber_term.scale(b)
+
+
+def _onto(prod: RingModel, a: CohClass) -> CohClass:
+    """A class of the eta-free Kunneth product as the same class on ``prod``,
+    whose Kunneth block has the same indices (eta, if any, comes after it)."""
+    return CohClass._make(prod, a.num + (0,) * (len(prod.basis) - len(a.num)), a.den)
+
+
+@functools.lru_cache(maxsize=None)
+def universal_ch(prod: RingModel) -> CohClass:
+    """ch of the universal rank-2 bundle on a moduli product model.
+
+    ``prod`` is ``x_times_curve(...)`` (threefold times dual curve, at any
+    eta^2) or ``s_times_sdual()`` (K3 times dual K3); any other model is a
+    ValueError.  c1 is ch1 and c2 is the Kunneth ansatz of
+    ``_universal_ansatz`` plus eta on the threefold product; the character
+    is rebuilt from c1 and c2 on ``prod``, and its odd part must match.
+
+    The ansatz is solved once per factor pair and shared by every eta^2:
+    eta is killed by every positive-codimension class and dropped by the
+    restriction to a left fiber, so the eta term adds exactly zero to both
+    ansatz conditions and the solved (a, b) do not depend on eta^2.
+    """
+    if prod.factors not in ((model_x(), model_curve()), (model_s(), model_sdual())):
+        raise ValueError(f"no universal bundle on {prod.name}: "
+                         "only threefold x curve and K3 x dual K3 are moduli products")
+    ch1, ch3, c2 = (_onto(prod, a) for a in _universal_ansatz(*prod.factors))
+    if ETA in prod.index:
+        c2 = c2 + CohClass.basis_class(prod, ETA)
     ch = CohClass.from_chern(2, [ch1, c2], prod)
     if ch.component(1) != ch1 or ch.component(3) != ch3:
         raise ArithmeticError("rank-2 character does not match its Chern classes")
@@ -652,9 +676,13 @@ def eta_square_solve() -> Q:
     """Solve for eta^2 (as a multiple of the product point class).
 
     The pairing chi(E, E) over the threefold-curve product is affine in
-    the square; imposing the moduli value 12 determines it.  The solver
-    fails loudly when the dependence degenerates, which is the guard
-    against dropping eta from c2.
+    the square; imposing the moduli value 12 determines it.  Both sample
+    points (eta^2 = 0 and 1) rebuild E on a model that carries eta, so
+    chi(E, E) sees the eta term of c2; the Kunneth part of c2 is the
+    ansatz ``universal_ch`` solves once for the factor pair and shares
+    with every eta^2 (exactly, since eta adds nothing to its conditions).
+    The solver fails loudly when the dependence degenerates, which is the
+    guard against dropping eta from c2.
     """
     values = []
     for e in (Q(0), Q(1)):

@@ -286,6 +286,8 @@ def gram(collection: Sequence[tuple[str, CohClass]], model: RingModel,
     classes = [cls for _, cls in collection]
     matrix = tuple(tuple(euler(model, a, b) for b in classes) for a in classes)
     sizes = tuple(blocks) if blocks is not None else tuple(1 for _ in classes)
+    if any(s < 1 for s in sizes):
+        raise ValueError("block sizes must be positive")
     if sum(sizes) != len(classes):
         raise ValueError("block sizes must sum to the collection length")
     block_of = []

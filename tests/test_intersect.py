@@ -256,6 +256,13 @@ class TestEta:
         assert chi(bare, uni, uni) == Q(-20, 3)
         assert chi(bare, uni, uni) != 12
 
+    @pytest.mark.parametrize("model", [model_x, x_times_sdual, s_times_curve],
+                             ids=["X", "XxSd", "SxC"])
+    def test_only_moduli_products(self, model):
+        name = model().name
+        with pytest.raises(ValueError, match=f"no universal bundle on {name}:"):
+            universal_ch(model())
+
     def test_self_pairing_with_eta(self):
         prod = x_times_curve()
         uni = universal_ch(prod)
@@ -345,6 +352,17 @@ class TestColdMaps:
         _clear_model_caches()
         universal_ch(s_times_sdual())
         assert eta_square_solve.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("model", [x_times_curve, s_times_sdual])
+    def test_ansatz_solved_once_per_factor_pair(self, model, monkeypatch):
+        # x_times_curve() solves eta^2 on the eta^2 = 0 and 1 models first;
+        # all three threefold-curve models share one ansatz solve.
+        calls = []
+        solve = intersect._solve_linear
+        monkeypatch.setattr(intersect, "_solve_linear", lambda rows: calls.append(1) or solve(rows))
+        _clear_model_caches()
+        universal_ch(model())
+        assert len(calls) == 1
 
 
 def test_serialization_round_trip():

@@ -185,6 +185,15 @@ class TestGram:
         with pytest.raises(ValueError):
             gram([("O", CohClass.unit(X()))], X(), blocks=(2,))
 
+    @pytest.mark.parametrize("blocks", [(3, -1), (0, 2), (2, 0)])
+    def test_nonpositive_block_sizes(self, blocks):
+        # (3, -1) sums to the length but would put both classes in one block,
+        # hiding the backward pairing chi(U, O) that makes this order fail
+        coll = [("O", CohClass.unit(X())), ("U", class_u_plus())]
+        with pytest.raises(ValueError, match="block sizes must be positive"):
+            gram(coll, X(), blocks=blocks)
+        assert not gram(coll, X()).semiorthogonal
+
 
 class TestMutate:
     def test_orthogonal_returns_sign(self):

@@ -119,6 +119,16 @@ def test_eta_square_from_moduli_pairing():
     assert universal_ch(x_times_curve()).coeffs == ring.to_labels(ch)
 
 
+@pytest.mark.parametrize("eta_square", [Q(0), Q(1), Q(7, 3), Q(14)], ids=str)
+def test_universal_ch_at_every_eta_square(eta_square):
+    # The Kunneth part of c2 is one shared ansatz; only the eta term sees eta^2.
+    ring = PolyRing(("X", "C"), eta_square=eta_square)
+    hx, hc = ring.hyperplane(0), ring.hyperplane(1)
+    c2 = ring.add(ring.mul(hx, hc), ring.from_labels({"L*1": 5, ETA: 1}), scales=[Q(7, 12), 1])
+    expected = ring.to_labels(ring.rank2_ch(ring.add(hx, hc), c2))
+    assert universal_ch(x_times_curve(eta_square=eta_square)).coeffs == expected
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
