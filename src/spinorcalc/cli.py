@@ -387,7 +387,7 @@ def _class_from_text(text: str, model) -> CohClass:
 
 
 def _cmd_bbw(args) -> int:
-    if args.weight:
+    if args.weight is not None:
         w = Weight.from_text(args.weight)
         bundle = bbw.irreducible(w)
     else:

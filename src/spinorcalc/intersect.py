@@ -346,33 +346,44 @@ def model_curve() -> RingModel:
 
 @functools.lru_cache(maxsize=None)
 def _product_model(left: RingModel, right: RingModel, eta_square: Optional[Q]) -> RingModel:
+    """The Kunneth product of two factor models; with ``eta_square`` not None,
+    the same product extended by eta, whose square is eta_square times the top
+    Kunneth class.  The factor tables are multiplied once per factor pair: an
+    eta model copies the rows of the memoized eta-free product."""
+    if eta_square is not None:
+        return _with_eta(_product_model(left, right, None), eta_square)
     nl, nr = len(left.basis), len(right.basis)
-    n_kunneth = nl * nr
-    n = n_kunneth + (eta_square is not None)
-    # Every constant is scaled by q so that eta^2 = (p/q) top fits the integer table.
-    q = 1 if eta_square is None else eta_square.denominator
+    n = nl * nr
     entries: dict[int, tuple[tuple[int, int], ...]] = {}
     for (a1, a2), (b1, b2) in product(product(range(nl), repeat=2), product(range(nr), repeat=2)):
         lrow, rrow = left.table[a1 * nl + a2], right.table[b1 * nr + b2]
         if lrow and rrow:
             entries[(a1 * nr + b1) * n + a2 * nr + b2] = tuple(
-                (ka * nr + kb, q * ca * cb) for ka, ca in lrow for kb, cb in rrow)
-    den = q * left.den * right.den
-    labels = [f"{a}*{b}" for a in left.basis for b in right.basis]
-    grades = [ga + gb for ga in left.grades for gb in right.grades]
-    if eta_square is not None:
-        # eta is fixed by the unit (index 0), killed by positive codimension, and
-        # squares to eta_square times the top Kunneth class.
-        eta = n_kunneth
-        top = left.top_index * nr + right.top_index
-        labels.append(ETA)
-        grades.append(2)
-        entries[eta] = entries[eta * n] = ((eta, den),)
-        if eta_square:
-            entries[eta * n + eta] = ((top, eta_square.numerator * left.den * right.den),)
+                (ka * nr + kb, ca * cb) for ka, ca in lrow for kb, cb in rrow)
+    labels = tuple(f"{a}*{b}" for a in left.basis for b in right.basis)
+    grades = tuple(ga + gb for ga in left.grades for gb in right.grades)
     table = tuple(entries.get(p, ()) for p in range(n * n))
-    return RingModel(f"{left.name}x{right.name}", tuple(labels), tuple(grades), table, den,
-                     (left, right))
+    return RingModel(f"{left.name}x{right.name}", labels, grades, table,
+                     left.den * right.den, (left, right))
+
+
+def _with_eta(base: RingModel, eta_square: Q) -> RingModel:
+    """``base`` with eta appended: fixed by the unit (index 0), killed by positive
+    codimension, squaring to eta_square times the top class.  Every constant is
+    scaled by q so that eta^2 = (p/q) top fits the integer table."""
+    n_kunneth = len(base.basis)
+    eta, q = n_kunneth, eta_square.denominator
+    den = q * base.den
+    rows = [tuple((k, q * c) for k, c in row) if q != 1 else row for row in base.table]
+    table: list[tuple[tuple[int, int], ...]] = []
+    for i in range(n_kunneth):
+        table += rows[i * n_kunneth:(i + 1) * n_kunneth]
+        table.append(((eta, den),) if i == 0 else ())
+    table.append(((eta, den),))
+    table += [()] * (n_kunneth - 1)
+    table.append(((base.top_index, eta_square.numerator * base.den),) if eta_square else ())
+    return RingModel(base.name, base.basis + (ETA,), base.grades + (2,), tuple(table), den,
+                     base.factors)
 
 
 def s_times_sdual() -> RingModel:
@@ -408,8 +419,9 @@ def point_class(model: RingModel) -> CohClass:
     return CohClass.basis_class(model, model.top)
 
 
+@functools.lru_cache(maxsize=None)
 def todd(model: RingModel) -> CohClass:
-    """Todd class; multiplies across product factors."""
+    """Todd class (memoized per model); multiplies across product factors."""
     if model.factors is not None:
         left, right = model.factors
         return lift_left(model, todd(left)) * lift_right(model, todd(right))
@@ -590,14 +602,15 @@ def _solve_linear(rows: list[list[Q]]) -> tuple[Q, Q]:
 
 
 @functools.lru_cache(maxsize=None)
-def _universal_ansatz(left: RingModel, right: RingModel) -> tuple[CohClass, CohClass, CohClass]:
-    """(ch1, ch3, c2 without eta) of the universal bundle, solved once per factor pair.
+def _universal_ansatz(left: RingModel, right: RingModel) -> CohClass:
+    """ch of the universal bundle on the eta-free Kunneth product, solved once
+    per factor pair.
 
-    The ansatz lives on the eta-free Kunneth product of the two factors.
     The odd character comes from ch(dual U_+) - ch(U_-) being twice the odd
     part; c2 is a * cross + b * fiber_term, with (a, b) solved from the
     rank-2 identity 3 c1 c2 = ch1^3 - 6 ch3 together with the fiberwise
     constraint that each left fiber has c2 = 5 times its line or point class.
+    The character is rebuilt from c1 = ch1 and c2, and its odd part must match.
     """
     prod = _product_model(left, right, None)
     plus = tautological_ch(left).dual()     # ch(dual U_+) on the left factor
@@ -624,7 +637,10 @@ def _universal_ansatz(left: RingModel, right: RingModel) -> tuple[CohClass, CohC
     ]
     a, b = _solve_linear([[part.coefficient(l) for part in parts]
                           for parts in conditions for l in parts[0].model.basis])
-    return ch1, ch3, cross.scale(a) + fiber_term.scale(b)
+    ch = CohClass.from_chern(2, [ch1, cross.scale(a) + fiber_term.scale(b)], prod)
+    if ch.component(1) != ch1 or ch.component(3) != ch3:
+        raise ArithmeticError("rank-2 character does not match its Chern classes")
+    return ch
 
 
 def _onto(prod: RingModel, a: CohClass) -> CohClass:
@@ -640,24 +656,29 @@ def universal_ch(prod: RingModel) -> CohClass:
     ``prod`` is ``x_times_curve(...)`` (threefold times dual curve, at any
     eta^2) or ``s_times_sdual()`` (K3 times dual K3); any other model is a
     ValueError.  c1 is ch1 and c2 is the Kunneth ansatz of
-    ``_universal_ansatz`` plus eta on the threefold product; the character
-    is rebuilt from c1 and c2 on ``prod``, and its odd part must match.
+    ``_universal_ansatz``, plus eta on the threefold product.
 
-    The ansatz is solved once per factor pair and shared by every eta^2:
-    eta is killed by every positive-codimension class and dropped by the
-    restriction to a left fiber, so the eta term adds exactly zero to both
-    ansatz conditions and the solved (a, b) do not depend on eta^2.
+    The eta-free character is solved and rebuilt from its Chern classes once
+    per factor pair; eta enters in closed form.  With c2 = K + eta, where eta
+    kills every positive-codimension class (so c1 eta = K eta = 0 and
+    c2^2 = K^2 + eta^2), the rank-2 Newton identities
+
+        ch2 = (c1^2 - 2 c2) / 2
+        ch3 = (c1^3 - 3 c1 c2) / 6
+        ch4 = (c1^4 - 4 c1^2 c2 + 2 c2^2) / 24
+
+    give ch(E) = ch(E without eta) - eta + eta^2 / 12: ch2 loses eta, ch3
+    does not change and ch4 gains 2 eta^2 / 24.  The ansatz itself does not
+    see eta, which adds exactly zero to both of its conditions.
     """
     if prod.factors not in ((model_x(), model_curve()), (model_s(), model_sdual())):
         raise ValueError(f"no universal bundle on {prod.name}: "
                          "only threefold x curve and K3 x dual K3 are moduli products")
-    ch1, ch3, c2 = (_onto(prod, a) for a in _universal_ansatz(*prod.factors))
-    if ETA in prod.index:
-        c2 = c2 + CohClass.basis_class(prod, ETA)
-    ch = CohClass.from_chern(2, [ch1, c2], prod)
-    if ch.component(1) != ch1 or ch.component(3) != ch3:
-        raise ArithmeticError("rank-2 character does not match its Chern classes")
-    return ch
+    ch = _onto(prod, _universal_ansatz(*prod.factors))
+    if ETA not in prod.index:
+        return ch
+    eta = CohClass.basis_class(prod, ETA)
+    return ch - eta + (eta * eta).scale(Q(1, 12))
 
 
 def _codim2_class(model: RingModel) -> CohClass:
@@ -677,12 +698,11 @@ def eta_square_solve() -> Q:
 
     The pairing chi(E, E) over the threefold-curve product is affine in
     the square; imposing the moduli value 12 determines it.  Both sample
-    points (eta^2 = 0 and 1) rebuild E on a model that carries eta, so
-    chi(E, E) sees the eta term of c2; the Kunneth part of c2 is the
-    ansatz ``universal_ch`` solves once for the factor pair and shares
-    with every eta^2 (exactly, since eta adds nothing to its conditions).
-    The solver fails loudly when the dependence degenerates, which is the
-    guard against dropping eta from c2.
+    points (eta^2 = 0 and 1) take E on a model that carries eta, so
+    chi(E, E) sees the eta terms of ``universal_ch``: the shared eta-free
+    character plus its closed-form eta correction.  The solver fails loudly
+    when the dependence degenerates, which is the guard against dropping
+    eta from c2.
     """
     values = []
     for e in (Q(0), Q(1)):

@@ -2,7 +2,9 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
+from test_koszul_columns import bundle_exprs
 from spinorcalc.bbw import (
     DIM,
     MAX_FACTORS,
@@ -181,3 +183,25 @@ def test_homog_bundle_validation():
     assert merged.summands == ((vector, 2), (zero, 3))
     assert HomogBundle(((zero, 0), (vector, 1), (vector, -1))).summands == ()
     assert HomogBundle(((zero, 2), (vector, 0))).summands == ((zero, 2),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_exprs(), bundle_exprs())
+def test_grammar_rank_multiplicative(left, right):
+    assert make_bundle(f"{left}*{right}").rank == make_bundle(left).rank * make_bundle(right).rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_exprs())
+def test_grammar_dual_keeps_rank(expr):
+    assert make_bundle(f"dual({expr})").rank == make_bundle(expr).rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_exprs())
+def test_grammar_serre_duality(expr):
+    # K = O(-8) on the spinor tenfold: H^d(b) is dual to H^(10-d)(dual(b)(-8))
+    b = make_bundle(expr)
+    dual_twisted = make_bundle(f"dual({expr})(-8)")
+    assert dual_twisted == b.dual().twist(-8)
+    assert cohomology(b).dims() == {DIM - d: n for d, n in cohomology(dual_twisted).entries}

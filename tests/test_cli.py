@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_koszul_columns import bundle_exprs
 from spinorcalc.bbw import MAX_TWIST
-from spinorcalc.cli import run, verify_suite
+from spinorcalc.cli import SUITES, run, verify_suite
+from spinorcalc.mukai import KERNELS, NAMED_CLASSES
 
 
 def invoke(capsys, *argv):
@@ -50,6 +57,12 @@ class TestBBWCommand:
         code, out, err = invoke(capsys, "bbw", "--weight", text)
         assert (code, out) == (2, "")
         assert err.startswith("syntax error: ") and err.count("\n") == 1
+
+    def test_empty_weight_exit_2(self, capsys):
+        # an empty --weight is a weight, not a missing one
+        code, out, err = invoke(capsys, "bbw", "--weight", "")
+        assert (code, out, err) == (2, "", "syntax error: expected 5 comma-separated rationals, "
+                                           "got 1\n")
 
     def test_non_ascii_digit_twist_exit_2(self, capsys):
         code, out, err = invoke(capsys, "bbw", "--bundle", "O(\u0967)")
@@ -237,3 +250,64 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert any(c["name"] == "conic-right-transform" for c in payload["checks"])
+
+
+JUNK = st.text(max_size=12)
+RATIONALS = st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(0, 4))
+OPTION_VALUES = {
+    "--bundle": bundle_exprs() | JUNK,
+    "--weight": st.lists(RATIONALS | st.integers(-3, 3).map(str), max_size=6).map(",".join)
+    | JUNK,
+    "--format": st.sampled_from(["json", "table"]) | JUNK,
+    "--codim": st.integers(-2, 12).map(str) | JUNK,
+    "--twist": st.integers(-2 * MAX_TWIST, 2 * MAX_TWIST).map(str) | JUNK,
+    "--target": st.sampled_from(["E1", "E2", "U-plus", "eta2"]) | JUNK,
+    "--kernel": st.sampled_from(sorted(KERNELS)) | JUNK,
+    "--apply": st.sampled_from(sorted(NAMED_CLASSES))
+    | st.dictionaries(st.sampled_from(["1", "H", "L", "P", "pt", "x"]),
+                      RATIONALS | st.integers(-5, 5)).map(json.dumps)
+    | JUNK,
+    "--gram": st.lists(st.sampled_from(["u", "o", "phi1", " u", "x", ""]), min_size=1,
+                       max_size=4).map(",".join) | JUNK,
+    "--suite": st.sampled_from(["all", *SUITES]) | JUNK,
+}
+COMMANDS = st.sampled_from(["bbw", "koszul", "chern", "fm", "verify"]) | JUNK
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand, then options with drawn values, bare flags and junk tokens."""
+    argv = [draw(COMMANDS)]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["option", "option", "option", "flag", "junk"]))
+        if kind == "option":
+            option = draw(st.sampled_from(sorted(OPTION_VALUES)))
+            argv += [option, draw(OPTION_VALUES[option])]
+        elif kind == "flag":
+            argv.append(draw(st.sampled_from(["-h", "--help", "--", "-", "--bundle"])))
+        else:
+            argv.append(draw(JUNK))
+    return argv
+
+
+# argparse's usage lines, then its error line (which echoes raw tokens, newlines included)
+ARGPARSE_ERROR = re.compile(r"usage: .*?\nspinorcalc( \S+)?: error: .*\n", re.S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_argv_fuzz_keeps_the_exit_contract(argv):
+    # exit 0, 1 or 2; a failure writes one stderr line, or argparse's usage
+    # lines ending in its one error line; no exception escapes run()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif err.startswith("usage: "):
+        assert code == 2
+        assert ARGPARSE_ERROR.fullmatch(err), err
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -309,6 +310,22 @@ class TestPushPull:
                         b = CohClass.basis_class(m.source, lb)
                         assert m.push(m.pull(a) * b) == a * m.push(b), (pname, la, lb)
 
+    @pytest.mark.parametrize("eta_square", [Q(0), Q(1), Q(7, 3), Q(-5, 6)], ids=str)
+    @pytest.mark.parametrize("name", ["lambda1", "mu1"])
+    def test_projection_formula_on_eta_models(self, name, eta_square):
+        # the threefold-curve embeddings rebuilt on an eta model other than the solved one
+        products = {**intersect._PRODUCTS, "XxC": lambda: x_times_curve(eta_square=eta_square)}
+        src, tgt, left, right = intersect._TENSOR_MAPS[name]
+        m = intersect._tensor_map(name, products[src](), products[tgt](),
+                                  geom_map(left) if left else None,
+                                  geom_map(right) if right else None)
+        assert ETA in m.source.basis or ETA in m.target.basis
+        for la in m.target.basis:
+            a = CohClass.basis_class(m.target, la)
+            for lb in m.source.basis:
+                b = CohClass.basis_class(m.source, lb)
+                assert m.push(m.pull(a) * b) == a * m.push(b), (la, lb)
+
     def test_eta_dies_under_maps(self):
         prod = x_times_curve()
         eta = CohClass.basis_class(prod, ETA)
@@ -363,6 +380,28 @@ class TestColdMaps:
         _clear_model_caches()
         universal_ch(model())
         assert len(calls) == 1
+
+
+    def test_one_kunneth_table_and_one_character(self, monkeypatch):
+        # A cold universal_ch(x_times_curve()) touches the eta^2 = 0, 1 and 14
+        # models; the factor tables are multiplied for the eta-free product only
+        # (itertools.product drives that multiplication), and the character is
+        # rebuilt from its Chern classes once.
+        steps, rebuilt = [], []
+        monkeypatch.setattr(intersect, "product",
+                            lambda *args, **kw: steps.append(1) or product(*args, **kw))
+        from_chern = CohClass.from_chern.__func__
+        monkeypatch.setattr(CohClass, "from_chern", classmethod(
+            lambda cls, *args: rebuilt.append(1) or from_chern(cls, *args)))
+        _clear_model_caches()
+        intersect._product_model(model_x(), model_curve(), None)
+        one_table = len(steps)
+        assert one_table > 0
+        del steps[:]
+        _clear_model_caches()
+        universal_ch(x_times_curve())
+        assert len(steps) == one_table
+        assert len(rebuilt) == 1
 
 
 def test_serialization_round_trip():

@@ -129,6 +129,32 @@ def test_universal_ch_at_every_eta_square(eta_square):
     assert universal_ch(x_times_curve(eta_square=eta_square)).coeffs == expected
 
 
+@settings(max_examples=30, deadline=None)
+@given(s=st.builds(Q, st.integers(-60, 60), st.integers(1, 12)))
+def test_closed_form_eta_character(s):
+    # The closed form ch(E_free) - eta + eta^2/12 against the character rebuilt
+    # from its own Chern classes on the eta^2 = s model, and the affine pairing
+    # whose moduli value 12 gives s = 14.
+    prod = x_times_curve(eta_square=s)
+    ch = universal_ch(prod)
+    assert CohClass.from_chern(2, ch.chern_classes()[:2], prod) == ch
+    assert chi(prod, ch, ch) == Q(-20, 3) + Q(4, 3) * s
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_riemann_roch_for_hyperplane_sections(data):
+    # chi(section, a|section) = chi(a) - chi(a(-H)) through the hand-written
+    # pullback matrices of alpha (S in X) and beta (C in Sd)
+    for name in ("alpha", "beta"):
+        m = geom_map(name)
+        big, small = m.target, m.source
+        a = draw_class(data, big)
+        assert chi(small, CohClass.unit(small), m.pull(a)) \
+            == chi(big, CohClass.unit(big), a) \
+            - chi(big, CohClass.unit(big), a.twisted(hyperplane(big).scale(-1)))
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
