@@ -481,8 +481,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose error line stays one line: a control character in the
+    tokens it echoes is printed as its backslash escape."""
+
+    def error(self, message: str):
+        super().error("".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                              for c in message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinorcalc",
         description="Exact cohomology calculator for the spinor tenfold and its Fano sections",
     )

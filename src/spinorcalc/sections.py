@@ -4,14 +4,17 @@ long-exact-sequence splicing solver.
 A codimension-c linear section carries the exterior-algebra resolution of
 its structure sheaf, so hypercohomology of a restricted bundle b is read
 off a first page with entries H^q(tenfold, b(-p)) repeated binomial(c, p)
-times; each column H(b(-p)) is one memoized ``cohomology(b, -p)`` call, so
-pages at different codimensions share their columns.  With E_d the page
-total in degree d = q - p and y_d the rank of the differentials from degree
-d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0 unless a cell of degree d has
-a larger p than one of degree d + 1, and h^d = 0 outside the degrees 0..dim
-of the section.  ``_chain`` bounds the y_d: the table is ``exact`` when every
-h^d is pinned, else ``euler_only`` with upper bounds.  The Euler
-characteristic is the alternating page sum either way.
+times.  The columns H(b(-p)) are read once per bundle, each through one
+``cohomology(b, -p)`` call, into a memo keyed on ``b.twice`` that a deeper
+codimension extends; each codimension folds its per-degree totals straight
+from those columns, weighting each cell by binomial(c, p), without building
+the page.  With E_d the page total in degree d = q - p and y_d the rank of
+the differentials from degree d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0
+unless a cell of degree d has a larger p than one of degree d + 1, and
+h^d = 0 outside the degrees 0..dim of the section.  ``_chain`` bounds the
+y_d: the table is ``exact`` when every h^d is pinned, else ``euler_only``
+with upper bounds.  The Euler characteristic is the alternating page sum
+either way.
 
 The splice solver extracts the unknown term of a 3- or 4-term exact
 sequence of sheaves from the known cohomology tables with the same chain,
@@ -64,18 +67,6 @@ class SpliceError(ValueError):
     """Inconsistent known tables in a splice problem."""
 
 
-def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
-    """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
-    if not 1 <= codim <= 9:
-        raise ValueError(f"codim must be in 1..9, got {codim}")
-    page: dict[tuple[int, int], int] = {}
-    for p in range(codim + 1):
-        mult = comb(codim, p)
-        for q, n in cohomology(b, -p).entries:
-            page[(p, q)] = mult * n
-    return page
-
-
 def _chain(a: Sequence[int], b: Sequence[int],
            free: Sequence[bool]) -> Optional[tuple[list[int], list[int]]]:
     """Bounds on the sums s_k = y_k + y_{k+1}, k < m = len(a), of a chain.
@@ -107,28 +98,76 @@ def _chain(a: Sequence[int], b: Sequence[int],
             [min(x, h + h2) for x, h, h2 in zip(b, hi, hi[1:])])
 
 
+# _BINOMIALS[c][p] = binomial(c, p), the multiplicity of column p on the codim-c page
+_BINOMIALS = tuple(tuple(comb(c, p) for p in range(c + 1)) for c in range(10))
+
+Cell = tuple[int, int, int]   # (p, d = q - p, n): one nonzero entry of the column H(b(-p))
+
+
+@functools.lru_cache(maxsize=None)
+def _column_memo(twice: tuple) -> list:
+    """[number of columns read, their cells in order of p, then q] for the bundle b with
+    ``b.twice == twice``.  ``_cells`` stores a new pair rather than extending the stored
+    list, so the count and the cells always agree."""
+    return [0, []]
+
+
+def _cells(b: HomogBundle, codim: int) -> list[Cell]:
+    """The cells of b's columns p = 0..codim, and maybe more; each column is read once,
+    by one ``cohomology(b, -p)`` call."""
+    memo = _column_memo(b.twice)
+    read, cells = memo
+    if read <= codim:
+        cells = cells + [(p, q - p, n) for p in range(read, codim + 1)
+                         for q, n in cohomology(b, -p).entries]
+        memo[:] = codim + 1, cells
+    return cells
+
+
+def _page(cells: Sequence[Cell], weights: Sequence[int]) -> dict[tuple[int, int], int]:
+    """The page (p, q) -> dim of the cells with p < len(weights), column p weighted
+    ``weights[p]``."""
+    return {(p, d + p): weights[p] * n for p, d, n in cells if p < len(weights)}
+
+
+def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
+    """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
+    if not 1 <= codim <= 9:
+        raise ValueError(f"codim must be in 1..9, got {codim}")
+    return _page(_cells(b, codim), _BINOMIALS[codim])
+
+
 def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     """Cohomology of b restricted to a generic codimension-``codim`` section."""
     b = make_bundle(b)
-    page = koszul_page(b, codim)
+    if not 1 <= codim <= 9:
+        raise ValueError(f"codim must be in 1..9, got {codim}")
+    return _section_result(b, codim, _cells(b, codim), _BINOMIALS[codim])
+
+
+def _section_result(b: HomogBundle, codim: int, cells: Sequence[Cell],
+                    weights: Sequence[int]) -> SectionResult:
+    """The table of b on the codim section from the page of the cells with p <= codim, in
+    order of p, column p weighted ``weights[p]``.  One pass folds the page totals."""
+    top = DIM - codim
     totals: dict[int, int] = {}   # E_d, the page total in degree d = q - p
     least: dict[int, int] = {}    # the least and greatest p among the cells of degree d
     most: dict[int, int] = {}
-    euler = 0
-    for (p, q), n in page.items():
-        d = q - p
+    in_range = []                 # the degrees in [0, top]
+    for p, d, n in cells:
+        if p > codim:
+            break
         if d in totals:
-            totals[d] += n
-            if p < least[d]:
-                least[d] = p
-            elif p > most[d]:
-                most[d] = p
+            totals[d] += weights[p] * n
         else:
-            totals[d] = n
-            least[d] = most[d] = p
-        euler += n if d % 2 == 0 else -n
-    top = DIM - codim
-    in_range = [d for d in totals if 0 <= d <= top]
+            totals[d] = weights[p] * n
+            least[d] = p
+            if 0 <= d <= top:
+                in_range.append(d)
+        most[d] = p
+    euler = 0
+    for d, n in totals.items():
+        euler += -n if d & 1 else n
     # A differential maps (p, q) to (p - r, q - r + 1), r >= 1: it raises d by one and lowers
     # p, so y_d is 0 unless d joins, that is most[d] > least[d + 1].
     if len(in_range) > 1:
@@ -136,7 +175,7 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
         if not joinable:   # E1 = E_infinity
             if len(in_range) < len(totals):
                 raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
-                                      f"h^d = 0 outside [0, {top}]: {page}")
+                                      f"h^d = 0 outside [0, {top}]: {_page(cells, weights)}")
             # every degree is in [0, top] and every total is positive
             return SectionResult("exact", CohomologyTable._canonical(tuple(sorted(totals.items()))),
                                  euler)
@@ -155,10 +194,10 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     # pins every sum of the chain, which reduces to y_d = E_d - h^d - y_{d-1}: it must stay
     # >= 0 and vanish where d does not join, as after the last degree.
     d0 = in_range[0] if in_range else None
-    h = 0 if d0 is None else euler if d0 % 2 == 0 else -euler
+    h = 0 if d0 is None else -euler if d0 & 1 else euler
     y = 0
-    for d in sorted(totals):
-        y = totals[d] - y - (h if d == d0 else 0)
+    for d, n in sorted(totals.items()):
+        y = n - y - (h if d == d0 else 0)
         if y and (y < 0 or most[d] <= least.get(d + 1, most[d])):
             break
     if y or h < 0:

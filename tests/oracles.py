@@ -7,7 +7,8 @@ cohomology rings are recomputed as truncated polynomial rings in the
 hyperplane variables, from the relations stated in the intersect module
 docstring, with no structure-constant tables.  Section tables and splices
 are found by enumerating every rank of every differential or map, with no
-interval propagation.
+interval propagation.  Chern characters of bundle expressions are built in
+the ring from their parse trees, for Riemann-Roch against the Koszul side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from spinorcalc.intersect import ETA
+from spinorcalc.intersect import ETA, CohClass, RingModel, hyperplane, tautological_ch
 from spinorcalc.rootdata import RANK, RHO, Weight
 
 Q = Fraction
@@ -322,6 +323,22 @@ class PolyRing:
         return self.add(self.unit(), c1, ch2, ch3, ch4, scales=[2, 1, 1, 1, 1])
 
 
+def bundle_ch(model: RingModel, tree: tuple) -> CohClass:
+    """ch of the bundle a parsed expression (``bbw.parse_bundle_expr``) names, restricted
+    to ``model``, built in its ring: O is 1, U its tautological character, a dual, a
+    twist by k and a tensor product are ``dual()``, ``twisted(k H)`` and the product."""
+    kind = tree[0]
+    if kind == "atom":
+        return CohClass.unit(model) if tree[1] == "O" else tautological_ch(model)
+    if kind == "dual":
+        return bundle_ch(model, tree[1]).dual()
+    if kind == "twist":
+        return bundle_ch(model, tree[1]).twisted(hyperplane(model).scale(tree[2]))
+    if kind == "tensor":
+        return bundle_ch(model, tree[1]) * bundle_ch(model, tree[2])
+    raise ValueError(f"malformed bundle tree {tree!r}")
+
+
 # ---------------------------------------------------------------------------
 # section and splice oracle: every assignment of differential and map ranks
 # ---------------------------------------------------------------------------
@@ -355,6 +372,12 @@ def page_tables(page: dict[tuple[int, int], int], top: int) -> set[tuple[tuple[i
 
     walk(0, 0, ())
     return found
+
+
+def page_cells(page: dict[tuple[int, int], int]) -> list[tuple[int, int, int]]:
+    """A page as the cells ``sections._section_result`` reads: (p, q - p, n) in order of
+    p, then q."""
+    return sorted((p, q - p, n) for (p, q), n in page.items())
 
 
 def ses_tables(terms: list, dim: int) -> set[tuple[int, ...]]:

@@ -290,8 +290,8 @@ def argvs(draw) -> list[str]:
     return argv
 
 
-# argparse's usage lines, then its error line (which echoes raw tokens, newlines included)
-ARGPARSE_ERROR = re.compile(r"usage: .*?\nspinorcalc( \S+)?: error: .*\n", re.S)
+# argparse's usage line and its indented continuation lines, then its one error line
+ARGPARSE_ERROR = re.compile(r"usage: [^\n]*\n(?: [^\n]*\n)*spinorcalc(?: \S+)?: error: ([^\n]*)\n")
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,6 +308,17 @@ def test_argv_fuzz_keeps_the_exit_contract(argv):
         assert err == ""
     elif err.startswith("usage: "):
         assert code == 2
-        assert ARGPARSE_ERROR.fullmatch(err), err
+        match = ARGPARSE_ERROR.fullmatch(err)
+        assert match and match[1].isprintable(), err
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("token, shown", [("x\ny", r"x\ny"), ("a\rb\x1b", r"a\rb\x1b"),
+                                          ("\u2028", r"\u2028"), ("é\t", r"é\t")],
+                         ids=["newline", "return-escape", "line-separator", "tab"])
+def test_argparse_error_escapes_control_characters(capsys, token, shown):
+    code, out, err = invoke(capsys, "bbw", "--bundle", "O", token)
+    assert code == 2 and out == ""
+    assert ARGPARSE_ERROR.fullmatch(err)
+    assert err.splitlines()[-1] == f"spinorcalc: error: unrecognized arguments: {shown}"

@@ -1,16 +1,17 @@
 """Koszul page columns read from twisted weights: random grammar expressions
 against the rebuilt twisted bundles, and a guard that a section table of a
-built bundle builds no further bundle.  Also: ``twist``, ``dual`` and ``*``
+built bundle builds no further bundle.  The columns are read once per bundle
+whatever order the codims come in.  Also: ``twist``, ``dual`` and ``*``
 return canonical bundles without running the validating constructor, and the
 column memo is keyed on ints."""
 
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinorcalc import bbw
+from spinorcalc import bbw, sections
 from spinorcalc.bbw import CohomologyTable, HomogBundle, cohomology, hilbert, make_bundle
 from spinorcalc.rootdata import Weight
 from spinorcalc.sections import koszul_page, section_cohomology
@@ -58,6 +59,40 @@ def test_section_table_builds_no_bundle(monkeypatch):
     monkeypatch.setattr(HomogBundle, "__post_init__", counting)
     section_cohomology(b, 9)
     assert built == []
+
+
+def test_a_codim_sweep_reads_each_column_once(monkeypatch):
+    b = make_bundle("dual(U)*U(1)")
+    sections._column_memo.cache_clear()
+    twists = []
+
+    def counting(bundle, k=0):
+        twists.append(k)
+        return cohomology(bundle, k)
+
+    monkeypatch.setattr(sections, "cohomology", counting)
+    for codim in (6, 7, 8, 9):
+        section_cohomology(b, codim)
+    assert twists == [-p for p in range(10)]
+
+
+def _fresh(b, codim):
+    sections._column_memo.cache_clear()
+    return section_cohomology(b, codim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_exprs(), st.permutations(range(1, 10)))
+@example("dual(U)*U(1)", (9, 6, 8, 7))
+def test_partly_filled_columns_give_fresh_results(expr, order):
+    b = make_bundle(expr)
+    fresh = [_fresh(b, codim) for codim in order]
+    sections._column_memo.cache_clear()
+    assert [section_cohomology(b, codim) for codim in order] == fresh
+    for codim in range(1, 10):
+        rebuilt = {(p, q): comb(codim, p) * n
+                   for p in range(codim + 1) for q, n in cohomology(b, -p).entries}
+        assert list(koszul_page(b, codim).items()) == list(rebuilt.items())
 
 
 @settings(max_examples=30, deadline=None)

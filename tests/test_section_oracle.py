@@ -1,13 +1,16 @@
 """Section tables against an oracle that does not read the Koszul page:
 Serre duality on the section, Hilbert polynomials of the threefold, the
-K3 and the curve where the higher cohomology is known to vanish, and the
-genus of the curve."""
+K3 and the curve where the higher cohomology is known to vanish, the genus
+of the curve, and Riemann-Roch in the intersection ring for the Euler
+numbers of grammar bundles on the threefold, the K3 and the curve."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorcalc.bbw import DIM, O, make_bundle
+from oracles import bundle_ch
+from spinorcalc.bbw import DIM, O, make_bundle, parse_bundle_expr
+from spinorcalc.intersect import CohClass, chi, model_curve, model_s, model_x
 from spinorcalc.sections import section_cohomology
 from test_koszul_columns import bundle_exprs
 
@@ -62,3 +65,15 @@ def test_curve_genus():
     # the curve is connected of genus 7: h^0(O_C) = 1 and h^1(O_C) = 7
     res = section_cohomology(O(), 9)
     assert res.exact and res.table.dims() == {0: 1, 1: 7}
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_exprs(), st.integers(-4, 4))
+def test_koszul_euler_numbers_match_riemann_roch(expr, k):
+    # chi(b(k)) on the threefold, the K3 and the curve: the alternating sum of the
+    # Koszul page against the integral of ch(b(k)) td in the intersection ring
+    b = make_bundle(expr).twist(k)
+    tree = ("twist", parse_bundle_expr(expr), k)
+    for codim, model in ((7, model_x()), (8, model_s()), (9, model_curve())):
+        ch = bundle_ch(model, tree)
+        assert section_cohomology(b, codim).euler == chi(model, CohClass.unit(model), ch), codim

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import page_cells
 from spinorcalc import sections
 from spinorcalc.bbw import CohomologyTable, O, U, make_bundle
 from spinorcalc.sections import (
@@ -20,6 +21,11 @@ from spinorcalc.sections import (
 
 def T(dims: dict[int, int]) -> CohomologyTable:
     return CohomologyTable.from_dict(dims)
+
+
+def page_result(page: dict[tuple[int, int], int], codim: int) -> SectionResult:
+    """The section table of O read from ``page`` in place of its own Koszul page."""
+    return sections._section_result(O(), codim, page_cells(page), (1,) * (codim + 1))
 
 
 class TestSectionCohomology:
@@ -57,28 +63,23 @@ class TestSectionCohomology:
         res = section_cohomology(make_bundle("dual(U)*U(2)"), 7)
         assert res.exact and res.table.dims() == {0: 755} and res.euler == 755
 
-    def test_single_degree_outside_its_bound_raises(self, monkeypatch):
+    def test_single_degree_outside_its_bound_raises(self):
         # degrees 0 (total 5) and -1 (total 7) are joinable; chi = -2 < 0 cannot be h^0
-        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(0, 0): 5, (1, 0): 7})
         with pytest.raises(ArithmeticError, match="contradicts"):
-            section_cohomology(O(), 7)
+            page_result({(0, 0): 5, (1, 0): 7}, 7)
 
-    def test_no_degree_left_forces_zero(self, monkeypatch):
+    def test_no_degree_left_forces_zero(self):
         # joinable cells in degrees -2 and -1 only: chi must vanish and H is zero
-        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(2, 0): 1, (1, 0): 1})
-        res = section_cohomology(O(), 7)
+        res = page_result({(2, 0): 1, (1, 0): 1}, 7)
         assert res.exact and res.table.is_zero and res.euler == 0
-        monkeypatch.setattr(sections, "koszul_page", lambda b, codim: {(2, 0): 2, (1, 0): 1})
         with pytest.raises(ArithmeticError, match="contradicts"):
-            section_cohomology(O(), 7)
+            page_result({(2, 0): 2, (1, 0): 1}, 7)
 
-    def test_isolated_cell_outside_the_range_raises(self, monkeypatch):
+    def test_isolated_cell_outside_the_range_raises(self):
         # only degree 0 lies in [0, 1], but no differential reaches the cell in
         # degree -3, so no ranks fit; this returned exact, {}
-        monkeypatch.setattr(sections, "koszul_page",
-                            lambda b, codim: {(3, 0): 1, (2, 1): 1, (1, 1): 2})
         with pytest.raises(ArithmeticError, match="contradicts"):
-            section_cohomology(O(), 9)
+            page_result({(3, 0): 1, (2, 1): 1, (1, 1): 2}, 9)
 
     def test_codim_validation(self):
         with pytest.raises(ValueError):
