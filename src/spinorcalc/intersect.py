@@ -25,12 +25,16 @@ arithmetic.  A factor model is generated by its hyperplane class H: basis
 class i is a fixed rational multiple of H^i, and the model carries H and its
 Todd class as data.  Its grade-2 basis class (L on the threefold, P on a K3;
 the curve has none) is its codimension-2 class.  A class holds integer
-numerators over one positive denominator with no common factor, and every
-ring operation runs on these ints; Fractions appear only at the edges
-(``coeffs``, ``coefficient``, ``integrate``, the JSON round trip and
-``repr``).  A class is also the one type for Chern data: its ``rank`` is the
-integral degree-zero coefficient, and ``chern_classes`` and ``from_chern``
-convert through Newton's identities.
+numerators over one positive denominator, not necessarily in lowest terms:
+the common factor is divided out only where the denominator is multiplied
+(a ring product, a scaling by a non-integral rational, a division by an
+int), and equality cross-multiplies.  Every ring operation runs on these ints;
+Fractions appear only at the edges (``coeffs``, ``coefficient``,
+``integrate``, the JSON round trip and ``repr``, which all read the reduced
+value) and in the results of the linear solves, which eliminate on ints.  A
+class is also the one type for Chern data: its ``rank`` is the integral
+degree-zero coefficient, and ``chern_classes`` and ``from_chern`` convert
+through Newton's identities.
 
 Only even polarized classes get basis elements; integrality is never
 asserted beyond what the underlying geometry forces, so coefficients stay
@@ -63,7 +67,8 @@ _JSON_KINDS = {bool: "a boolean", type(None): "null", float: "a float", list: "a
 ETA = "eta"
 
 # rows[i] = ((k, c), ...): a sparse integer image of basis class i.
-Rows = tuple[tuple[tuple[int, int], ...], ...]
+Row = tuple[tuple[int, int], ...]
+Rows = tuple[Row, ...]
 
 
 def _over_common_den(values: Sequence[Union[int, Q]]) -> tuple[list[int], int]:
@@ -86,6 +91,7 @@ class RingModel:
     hyperplane: Optional[tuple[tuple[int, ...], int]] = None   # a factor's H, num over den
     index: dict[str, int] = field(init=False)
     codim: dict[str, int] = field(init=False)
+    cells: tuple[tuple[tuple[int, Row], ...], ...] = field(init=False)
     dim: int = field(init=False)
     top_index: int = field(init=False)
     top: str = field(init=False)
@@ -94,6 +100,13 @@ class RingModel:
         dim = max(self.grades)
         object.__setattr__(self, "index", {l: i for i, l in enumerate(self.basis)})
         object.__setattr__(self, "codim", dict(zip(self.basis, self.grades)))
+        # cells[i] = the (j, table[i * n + j]) with a nonzero product e_i e_j
+        n = len(self.basis)
+        cells: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
+        for p, row in enumerate(self.table):
+            if row:
+                cells[p // n].append((p % n, row))
+        object.__setattr__(self, "cells", tuple(map(tuple, cells)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "top_index", self.grades.index(dim))
         object.__setattr__(self, "top", self.basis[self.top_index])
@@ -117,11 +130,12 @@ class CohClass:
         self.num, self.den = _reduced(*_over_common_den(values))
 
     @classmethod
-    def _make(cls, model: RingModel, num: Sequence[int], den: int) -> "CohClass":
-        """The class with numerators ``num`` over ``den`` > 0, reduced."""
+    def _make(cls, model: RingModel, num: tuple[int, ...], den: int) -> "CohClass":
+        """The class with numerators ``num`` over ``den`` > 0, stored as given."""
         obj = object.__new__(cls)
         obj.model = model
-        obj.num, obj.den = _reduced(num, den)
+        obj.num = num
+        obj.den = den
         return obj
 
     # -- constructors -----------------------------------------------------
@@ -144,7 +158,7 @@ class CohClass:
         e = list(cs) + [cls.zero(model)] * (model.dim - len(cs))
         ch = cls.unit(model).scale(rank)
         for k, p in enumerate(_newton(model, e, power_sums=False), 1):
-            ch = ch + p.scale(Q(1, factorial(k)))
+            ch = ch + p._divided(factorial(k))
         return ch
 
     # -- ring operations --------------------------------------------------
@@ -158,19 +172,25 @@ class CohClass:
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         return CohClass._make(self.model,
-                              [a * fa + b * fb for a, b in zip(self.num, other.num)], den)
+                              tuple([a * fa + b * fb for a, b in zip(self.num, other.num)]), den)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
 
     def __neg__(self) -> "CohClass":
-        return CohClass._make(self.model, [-a for a in self.num], self.den)
+        return CohClass._make(self.model, tuple([-a for a in self.num]), self.den)
 
     def scale(self, t: Union[Q, int, str]) -> "CohClass":
         if not isinstance(t, (int, Q)):
             t = Q(t)
-        n = t.numerator
-        return CohClass._make(self.model, [n * a for a in self.num], self.den * t.denominator)
+        n, d = t.numerator, t.denominator
+        if d != 1:
+            return CohClass._make(self.model, *_reduced([n * a for a in self.num], self.den * d))
+        return CohClass._make(self.model, tuple([n * a for a in self.num]), self.den)
+
+    def _divided(self, k: int) -> "CohClass":
+        """This class divided by the positive int ``k``."""
+        return CohClass._make(self.model, *_reduced(self.num, self.den * k))
 
     def __rmul__(self, t: Union[Q, int]) -> "CohClass":
         return self.scale(t)
@@ -180,17 +200,17 @@ class CohClass:
             return self.scale(other)
         self._check(other)
         model = self.model
-        n = len(model.basis)
-        table = model.table
-        right = [(j, b) for j, b in enumerate(other.num) if b]
-        out = [0] * n
-        for i, a in enumerate(self.num):
+        right = other.num
+        out = [0] * len(right)
+        for a, cells in zip(self.num, model.cells):
             if a:
-                base = i * n
-                for j, b in right:
-                    for k, s in table[base + j]:
-                        out[k] += a * b * s
-        return CohClass._make(model, out, self.den * other.den * model.den)
+                for j, row in cells:
+                    b = right[j]
+                    if b:
+                        ab = a * b
+                        for k, s in row:
+                            out[k] += ab * s
+        return CohClass._make(model, *_reduced(out, self.den * other.den * model.den))
 
     def __pow__(self, n: int) -> "CohClass":
         acc = CohClass.unit(self.model)
@@ -203,11 +223,15 @@ class CohClass:
         return self * exp_class(line)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CohClass) and self.model is other.model
-                and self.num == other.num and self.den == other.den)
+        if not isinstance(other, CohClass) or self.model is not other.model:
+            return False
+        da, db = self.den, other.den
+        if da == db:
+            return self.num == other.num
+        return all(a * db == b * da for a, b in zip(self.num, other.num))
 
     def __hash__(self) -> int:
-        return hash((id(self.model), self.num, self.den))
+        return hash((id(self.model), *_reduced(self.num, self.den)))
 
     @property
     def is_zero(self) -> bool:
@@ -218,7 +242,8 @@ class CohClass:
     def component(self, k: int) -> "CohClass":
         grades = self.model.grades
         return CohClass._make(self.model,
-                              [a if g == k else 0 for a, g in zip(self.num, grades)], self.den)
+                              tuple([a if g == k else 0 for a, g in zip(self.num, grades)]),
+                              self.den)
 
     def coefficient(self, label: str) -> Q:
         i = self.model.index.get(label)
@@ -233,7 +258,8 @@ class CohClass:
         """Componentwise (-1)^codim; eta counts as its even codimension 2."""
         grades = self.model.grades
         return CohClass._make(self.model,
-                              [-a if g % 2 else a for a, g in zip(self.num, grades)], self.den)
+                              tuple([-a if g % 2 else a for a, g in zip(self.num, grades)]),
+                              self.den)
 
     def integrate(self) -> Q:
         """Coefficient of the top class (zero when there is no top part)."""
@@ -283,10 +309,11 @@ class CohClass:
 
 
 def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``num`` over ``den`` in lowest terms."""
     g = gcd(den, *num)
     if g == 1:
         return tuple(num), den
-    return tuple(a // g for a in num), den // g
+    return tuple([a // g for a in num]), den // g
 
 
 def exp_class(a: CohClass) -> CohClass:
@@ -299,7 +326,7 @@ def exp_class(a: CohClass) -> CohClass:
         term = term * a
         if term.is_zero:
             break
-        acc = acc + term.scale(Q(1, factorial(k)))
+        acc = acc + term._divided(factorial(k))
     return acc
 
 
@@ -308,31 +335,33 @@ def exp_class(a: CohClass) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
-def _build_factor(name: str, labels: Sequence[str], h_scale: Sequence[Q],
-                  todd_class: Sequence[Q]) -> RingModel:
-    """A ring generated by H with basis label i representing h_scale[i] * H^i."""
+def _build_factor(name: str, labels: Sequence[str], dens: Sequence[int],
+                  todd_class: tuple[Sequence[int], int]) -> RingModel:
+    """A ring generated by H with basis label i representing H^i / dens[i]; the
+    Todd class is given as integer numerators over a denominator."""
     n = len(labels)
-    # (s_i H^i)(s_j H^j) = (s_i s_j / s_k) * (s_k H^k) with k = i + j, zero past the top
+    # (H^i / d_i)(H^j / d_j) = (d_k / (d_i d_j)) * (H^k / d_k) with k = i + j, zero past
+    # the top; each constant in lowest terms, then all over the lcm of their denominators
     pairs = [(i, j) for i in range(n) for j in range(n) if i + j < n]
-    nums, den = _over_common_den([h_scale[i] * h_scale[j] / h_scale[i + j] for i, j in pairs])
-    entries = {i * n + j: ((i + j, c),) for (i, j), c in zip(pairs, nums)}
-    table = tuple(entries.get(p, ()) for p in range(n * n))
-    # H is (1 / h_scale[1]) times basis class 1: numerators over a denominator, reduced
-    hyperplane = ((0, h_scale[1].denominator) + (0,) * (n - 2), h_scale[1].numerator)
+    consts = [_reduced((dens[i + j],), dens[i] * dens[j]) for i, j in pairs]
+    den = lcm(*(q for _, q in consts))
+    entries = {i * n + j: ((i + j, p * (den // q)),) for (i, j), ((p,), q) in zip(pairs, consts)}
+    table = tuple(entries.get(c, ()) for c in range(n * n))
+    # H is dens[1] times basis class 1
+    hyperplane = ((0, dens[1]) + (0,) * (n - 2), 1)
     return RingModel(name, tuple(labels), tuple(range(n)), table, den,
-                     todd=_reduced(*_over_common_den(todd_class)), hyperplane=hyperplane)
+                     todd=_reduced(*todd_class), hyperplane=hyperplane)
 
 
 @functools.lru_cache(maxsize=None)
 def model_x() -> RingModel:
-    # H^2 = 12 L and H L = P: L is H^2/12 and P is H^3/12.
-    return _build_factor("X", ("1", "H", "L", "P"), (Q(1), Q(1), Q(1, 12), Q(1, 12)),
-                         (Q(1), Q(1, 2), Q(3), Q(1)))
+    # H^2 = 12 L and H L = P: L is H^2/12 and P is H^3/12; Todd class 1 + H/2 + 3L + P.
+    return _build_factor("X", ("1", "H", "L", "P"), (1, 1, 12, 12), ((2, 1, 6, 2), 2))
 
 
 @functools.lru_cache(maxsize=None)
 def model_s(name: str = "S") -> RingModel:
-    return _build_factor(name, ("1", "H", "P"), (Q(1), Q(1), Q(1, 12)), (Q(1), Q(0), Q(2)))
+    return _build_factor(name, ("1", "H", "P"), (1, 1, 12), ((1, 0, 2), 1))
 
 
 def model_sdual() -> RingModel:
@@ -341,7 +370,7 @@ def model_sdual() -> RingModel:
 
 @functools.lru_cache(maxsize=None)
 def model_curve() -> RingModel:
-    return _build_factor("C", ("1", "pt"), (Q(1), Q(1, 12)), (Q(1), Q(-6)))
+    return _build_factor("C", ("1", "pt"), (1, 12), ((1, -6), 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -445,7 +474,7 @@ def _lift(prod: RingModel, a: CohClass, side: str) -> CohClass:
         raise ValueError(f"class does not live on the {side} factor")
     num = [0] * len(prod.basis)
     num[_slots(prod, side, 0)] = a.num
-    return CohClass._make(prod, num, a.den)
+    return CohClass._make(prod, tuple(num), a.den)
 
 
 def lift_left(prod: RingModel, a: CohClass) -> CohClass:
@@ -494,7 +523,7 @@ def _newton(model: RingModel, known: Sequence[CohClass], power_sums: bool) -> li
         sign = (-1) ** (k - 1)
         if power_sums:
             p.append(known[k - 1])
-            e.append((mixed + p[k].scale(sign)).scale(Q(1, k)))
+            e.append((mixed + p[k].scale(sign))._divided(k))
         else:
             e.append(known[k - 1])
             p.append((e[k].scale(k) - mixed).scale(sign))
@@ -556,40 +585,49 @@ def tautological_ch(model: RingModel) -> CohClass:
     raise ValueError(f"no tautological bundle on {model.name}")
 
 
-def _kernel_basis(rows: list[list[Q]]) -> list[list[Q]]:
-    """Kernel of a small exact rational matrix by Gaussian elimination."""
+def _kernel_basis(rows: Sequence[Sequence[Union[int, Q]]]) -> list[list[Q]]:
+    """Kernel of a small exact rational matrix by Gauss-Jordan elimination on ints.
+
+    Each row is scaled to integers over its common denominator; a row update
+    cross-multiplies and divides out the gcd of the new row.  Rows stay
+    proportional to those of the reduced row echelon form, which is unique, so
+    a kernel vector -m[r][fc] / m[r][pc] is the same Fraction as the rational
+    elimination gives."""
     if not rows:
         return []
     n = len(rows[0])
-    mat = [list(r) for r in rows]
+    mat = [num for num, _ in map(_over_common_den, rows) if any(num)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     free = [c for c in range(n) if c not in pivots]
     ker = []
     for fc in free:
         vec = [Q(0)] * n
         vec[fc] = Q(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
+        for row, pc in zip(mat, pivots):
+            vec[pc] = Q(-row[fc], row[pc])
         ker.append(vec)
     return ker
 
 
-def _solve_linear(rows: list[list[Q]]) -> tuple[Q, Q]:
+def _solve_linear(rows: Sequence[Sequence[Union[int, Q]]]) -> tuple[Q, Q]:
     """Solve {ea * x + eb * y = rhs} exactly, given as the rows [ea, eb, -rhs]:
     their kernel must be the one line through (x, y, 1)."""
     ker = _kernel_basis(rows)
@@ -619,8 +657,8 @@ def _universal_ansatz(left: RingModel, right: RingModel) -> CohClass:
     for k in range(0, prod.dim + 1, 2):
         if not diff.component(k).is_zero:
             raise ArithmeticError("defining difference has a nonzero even part")
-    ch1 = diff.component(1).scale(Q(1, 2))
-    ch3 = diff.component(3).scale(Q(1, 2))
+    ch1 = diff.component(1)._divided(2)
+    ch3 = diff.component(3)._divided(2)
 
     cross = lift_left(prod, hyperplane(left)) * lift_right(prod, hyperplane(right))
     fiber_term = CohClass.zero(prod)
@@ -635,8 +673,12 @@ def _universal_ansatz(left: RingModel, right: RingModel) -> CohClass:
         (restrict_to_left_fiber(prod, cross), restrict_to_left_fiber(prod, fiber_term),
          _codim2_class(left).scale(-5)),
     ]
-    a, b = _solve_linear([[part.coefficient(l) for part in parts]
-                          for parts in conditions for l in parts[0].model.basis])
+    # one equation per basis class: its three parts over their common denominator
+    rows: list[tuple[int, ...]] = []
+    for parts in conditions:
+        den = lcm(*(part.den for part in parts))
+        rows += zip(*([x * (den // part.den) for x in part.num] for part in parts))
+    a, b = _solve_linear(rows)
     ch = CohClass.from_chern(2, [ch1, cross.scale(a) + fiber_term.scale(b)], prod)
     if ch.component(1) != ch1 or ch.component(3) != ch3:
         raise ArithmeticError("rank-2 character does not match its Chern classes")
@@ -678,7 +720,7 @@ def universal_ch(prod: RingModel) -> CohClass:
     if ETA not in prod.index:
         return ch
     eta = CohClass.basis_class(prod, ETA)
-    return ch - eta + (eta * eta).scale(Q(1, 12))
+    return ch - eta + (eta * eta)._divided(12)
 
 
 def _codim2_class(model: RingModel) -> CohClass:
@@ -731,7 +773,7 @@ def _apply(model: RingModel, matrix: Matrix, a: CohClass) -> CohClass:
         if x:
             for k, c in row:
                 out[k] += x * c
-    return CohClass._make(model, out, a.den * den)
+    return CohClass._make(model, tuple(out), a.den * den)
 
 
 @dataclass(frozen=True)

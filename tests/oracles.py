@@ -9,6 +9,8 @@ docstring, with no structure-constant tables.  Section tables and splices
 are found by enumerating every rank of every differential or map, with no
 interval propagation.  Chern characters of bundle expressions are built in
 the ring from their parse trees, for Riemann-Roch against the Koszul side.
+Kernels of rational matrices come from Gauss-Jordan elimination in
+Fractions, against the integer elimination of the library.
 """
 
 from __future__ import annotations
@@ -337,6 +339,39 @@ def bundle_ch(model: RingModel, tree: tuple) -> CohClass:
     if kind == "tensor":
         return bundle_ch(model, tree[1]) * bundle_ch(model, tree[2])
     raise ValueError(f"malformed bundle tree {tree!r}")
+
+
+def kernel_basis_oracle(rows: list[list[Q]]) -> list[list[Q]]:
+    """Kernel of a small exact rational matrix by Gaussian elimination."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(n) if c not in pivots]
+    ker = []
+    for fc in free:
+        vec = [Q(0)] * n
+        vec[fc] = Q(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        ker.append(vec)
+    return ker
 
 
 # ---------------------------------------------------------------------------

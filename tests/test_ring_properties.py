@@ -1,6 +1,8 @@
 """The intersect rings on random rational classes: against the polynomial-ring
 oracle of oracles.py, and through the ring axioms, the projection formula,
-the transform adjunctions and the JSON round trip."""
+the transform adjunctions and the JSON round trip.  Classes stored with a
+common factor in numerators and denominator read and compute as the reduced
+class, and the integer elimination gives the kernels of the Fraction one."""
 
 from fractions import Fraction as Q
 
@@ -8,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PolyRing
+from oracles import PolyRing, kernel_basis_oracle
 from spinorcalc import mukai
 from spinorcalc.intersect import (
     ETA,
     CohClass,
+    _kernel_basis,
     chi,
     eta_square_solve,
     exp_class,
@@ -223,3 +226,66 @@ def test_json_round_trip(name, data):
     assert all(isinstance(v, str) for v in payload.values())
     assert CohClass.from_json(model, payload) == a
     assert {label: Q(v) for label, v in payload.items()} == a.coeffs
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_common_factor_does_not_change_the_class(name, data):
+    # k num over k den is the same class: every reader and operation agrees
+    model = MODELS[name]()
+    a, b = draw_class(data, model), draw_class(data, model)
+    k = data.draw(st.integers(1, 60))
+    a_k = CohClass._make(model, tuple(k * x for x in a.num), k * a.den)
+    assert a_k == a and a == a_k and hash(a_k) == hash(a)
+    assert a_k.coeffs == a.coeffs
+    assert a_k.to_json() == a.to_json() and repr(a_k) == repr(a)
+    assert a_k.integrate() == a.integrate()
+    assert [c.coeffs for c in a_k.chern_classes()] == [c.coeffs for c in a.chern_classes()]
+    assert a_k.chern_classes() == a.chern_classes()
+    assert _rank_or_error(a_k) == _rank_or_error(a)
+    assert a_k * b == a * b and (a_k * b).coeffs == (a * b).coeffs
+    assert a_k + b == a + b and (a_k + b).coeffs == (a + b).coeffs
+    assert chi(model, a_k, b) == chi(model, a, b)
+    assert a_k != a + CohClass.unit(model)
+
+
+def _rank_or_error(a: CohClass):
+    try:
+        return a.rank
+    except ValueError as exc:
+        return str(exc)
+
+
+RATIONAL = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-12, 12), st.integers(1, 12)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-13 rows of 1-5 rational columns; each row is zero, a repeat or rational
+    combination of a few base rows, or fresh, so ranks below full are common."""
+    cols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(RATIONAL, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 13))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination", "fresh")))
+        if kind == "zero":
+            rows.append([Q(0)] * cols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(base))))
+        elif kind == "combination":
+            ts = draw(st.lists(RATIONAL, min_size=len(base), max_size=len(base)))
+            rows.append([sum((t * r[c] for t, r in zip(ts, base)), Q(0)) for c in range(cols)])
+        else:
+            rows.append(draw(st.lists(RATIONAL, min_size=cols, max_size=cols)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_kernel_basis_matches_fraction_elimination(rows):
+    ker = _kernel_basis(rows)
+    assert ker == kernel_basis_oracle(rows)
+    assert all(type(x) is Q for vec in ker for x in vec)
+    assert all(sum((x * y for x, y in zip(row, vec)), Q(0)) == 0 for row in rows for vec in ker)

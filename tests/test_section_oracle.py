@@ -2,16 +2,35 @@
 Serre duality on the section, Hilbert polynomials of the threefold, the
 K3 and the curve where the higher cohomology is known to vanish, the genus
 of the curve, and Riemann-Roch in the intersection ring for the Euler
-numbers of grammar bundles on the threefold, the K3 and the curve."""
+numbers of grammar bundles on the threefold, the K3 and the curve and for
+the Euler numbers of the five splice pipelines.  The same ring classes of
+grammar bundles check the hyperplane-section pullbacks alpha and beta."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bundle_ch
+from spinorcalc import mukai
 from spinorcalc.bbw import DIM, O, make_bundle, parse_bundle_expr
-from spinorcalc.intersect import CohClass, chi, model_curve, model_s, model_x
-from spinorcalc.sections import section_cohomology
+from spinorcalc.intersect import (
+    CohClass,
+    chi,
+    geom_map,
+    hyperplane,
+    model_curve,
+    model_s,
+    model_x,
+    tautological_ch,
+)
+from spinorcalc.sections import (
+    pipeline_e1y_double_twist,
+    pipeline_e1y_tensor_u,
+    pipeline_e1y_tensor_udual_2h,
+    pipeline_e1y_vanishing,
+    pipeline_e2y_h0,
+    section_cohomology,
+)
 from test_koszul_columns import bundle_exprs
 
 BASES = ("O", "U", "dual(U)", "U*U", "U*dual(U)", "dual(U)*dual(U)")
@@ -77,3 +96,42 @@ def test_koszul_euler_numbers_match_riemann_roch(expr, k):
     for codim, model in ((7, model_x()), (8, model_s()), (9, model_curve())):
         ch = bundle_ch(model, tree)
         assert section_cohomology(b, codim).euler == chi(model, CohClass.unit(model), ch), codim
+
+
+def _euler(model, ch) -> int:
+    return chi(model, CohClass.unit(model), ch)
+
+
+def test_splice_pipelines_match_riemann_roch():
+    # Each pipeline's Euler number against chi of its ring class.  The two vanishing
+    # results are solved on the fourfold, for sheaves supported on the threefold, so
+    # they too are read on X; E2y(-H) lives on the K3 S.
+    X, S = model_x(), model_s()
+    e1y, e2y, u = mukai.class_e1y(), mukai.class_e2y(), tautological_ch(X)
+    h_x, h_s = hyperplane(X), hyperplane(S)
+    plain, tensored = pipeline_e1y_vanishing()
+    cases = {
+        "E1y(-H)": (plain, X, e1y.twisted(h_x.scale(-1)), 0),
+        "E1y*dual(U)(-H)": (tensored, X, (e1y * u.dual()).twisted(h_x.scale(-1)), 0),
+        "E1y(-2H)": (pipeline_e1y_double_twist(), X, e1y.twisted(h_x.scale(-2)), -5),
+        "E2y(-H) on S": (pipeline_e2y_h0(), S, e2y.twisted(h_s.scale(-1)), 5),
+        "E1y*U(-H)": (pipeline_e1y_tensor_u(), X, (e1y * u).twisted(h_x.scale(-1)), 0),
+        "E1y*dual(U)(-2H)": (pipeline_e1y_tensor_udual_2h(), X,
+                             (e1y * u.dual()).twisted(h_x.scale(-2)), -1),
+    }
+    for name, (result, model, ch, euler) in cases.items():
+        assert result.table.euler == _euler(model, ch) == euler, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle_exprs(), st.integers(-3, 3))
+def test_hyperplane_sections_of_grammar_bundles(expr, k):
+    # chi(section, a|section) = chi(a) - chi(a(-H)) through the pullbacks alpha (S in X)
+    # and beta (C in Sd), for the ring class a of b(k); on Sd, U is its tautological class
+    tree = ("twist", parse_bundle_expr(expr), k)
+    for name in ("alpha", "beta"):
+        m = geom_map(name)
+        big, small = m.target, m.source
+        a = bundle_ch(big, tree)
+        assert _euler(small, m.pull(a)) \
+            == _euler(big, a) - _euler(big, a.twisted(hyperplane(big).scale(-1))), name
