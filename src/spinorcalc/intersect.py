@@ -150,7 +150,12 @@ class CohClass:
 
     @classmethod
     def basis_class(cls, model: RingModel, label: str, coeff: Union[Q, int, str] = 1) -> "CohClass":
-        return cls(model, {label: coeff})
+        i = model.index.get(label)
+        if i is None or type(coeff) is not int:
+            return cls(model, {label: coeff})
+        num = [0] * len(model.basis)
+        num[i] = coeff
+        return cls._make(model, tuple(num), 1)
 
     @classmethod
     def from_chern(cls, rank: int, cs: Sequence["CohClass"], model: RingModel) -> "CohClass":
@@ -530,9 +535,39 @@ def _newton(model: RingModel, known: Sequence[CohClass], power_sums: bool) -> li
     return e[1:] if power_sums else p[1:]
 
 
+@functools.lru_cache(maxsize=None)
+def _pairing(model: RingModel) -> tuple[Rows, int]:
+    """The Euler form of the model: rows[i] = the (j, g) with integral
+    e_i^dual e_j td = g / den, the dual's sign on odd grades folded in.
+
+    One walk of the structure table: first t_k = integral e_k td, the top slot
+    of e_k td, then the integral of e_i e_j td as the sum of c t_k over the
+    product e_i e_j = sum (c / model.den) e_k."""
+    td = todd(model)
+    top = model.top_index
+    t = [sum(td.num[j] * c for j, row in cells for k, c in row if k == top)
+         for cells in model.cells]
+    rows = []
+    for cells, g in zip(model.cells, model.grades):
+        sign = -1 if g % 2 else 1
+        row = ((j, sign * sum(c * t[k] for k, c in row)) for j, row in cells)
+        rows.append(tuple((j, v) for j, v in row if v))
+    return tuple(rows), model.den * model.den * td.den
+
+
 def chi(model: RingModel, a: CohClass, b: CohClass) -> Q:
-    """The pairing integral ch(a)^dual * ch(b) * td over the model."""
-    return (a.dual() * b * todd(model)).integrate()
+    """The pairing integral ch(a)^dual * ch(b) * td over the model, read from
+    its Euler form (``_pairing``)."""
+    a._check(b)
+    rows, den = _pairing(model)
+    if a.model is not model:
+        raise ValueError(f"model mismatch: {a.model.name} vs {model.name}")
+    right = b.num
+    total = 0
+    for x, row in zip(a.num, rows):
+        if x:
+            total += x * sum(g * right[j] for j, g in row)
+    return Q(total, a.den * b.den * den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ product induces the transform
     a  |->  parity * push( pull(ch(a) * td(source)) * ch(kernel) ),
 
 with the Todd class of the source riding along the pullback; shifts enter
-only through the parity sign.  The convention is pinned by the adjunction
+only through the parity sign.  Each kernel holds that map as integer rows,
+the images of the source basis classes, read once from the product's
+structure table; a transform applies them to the class.  The convention is pinned by the adjunction
 identities chi(transform(b), a) = chi(b, adjoint_transform(a)), which the
 test suite checks over full bases, not by a literature choice.
 """
@@ -16,19 +18,22 @@ test suite checks over full bases, not by a literature choice.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Literal, Optional, Sequence
 
 from .intersect import (
     CohClass,
+    Matrix,
     RingModel,
+    _apply,
     _kernel_basis,
+    _slots,
     chi,
     exp_class,
     hyperplane,
-    integrate_left_fiber,
-    integrate_right_fiber,
     lift_left,
     lift_right,
     model_curve,
@@ -64,19 +69,57 @@ Side = Literal["left", "right"]
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A cohomological integral-transform kernel on a product model."""
+    """A cohomological integral-transform kernel on a product model.
+
+    ``rows`` is the transform as a matrix from the source basis to the target
+    basis: row i is the image of basis class e_i, the source-fibre-top slots
+    of lift(e_i td) * kernel_ch times the parity.  It is computed once, when
+    the kernel is built, and takes no part in comparisons."""
 
     name: str
     product: RingModel
     source_side: Side
     kernel_ch: CohClass
     shift_parity: int
+    rows: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kernel_ch.model is not self.product:
             raise ValueError("kernel class must live on the product model")
         if self.shift_parity not in (1, -1):
             raise ValueError("shift parity must be +1 or -1")
+        object.__setattr__(self, "rows", self._transform_rows())
+
+    def _transform_rows(self) -> Matrix:
+        """The images of the source basis classes, read from the product's structure table."""
+        prod, kernel, src, td = self.product, self.kernel_ch.num, self.source, todd(self.source)
+        n = len(prod.basis)
+        fibre = "right" if self.source_side == "left" else "left"
+        # the slot of each lifted source basis class, the target index of each fibre-top slot
+        lifts = range(n)[_slots(prod, self.source_side, 0)]
+        target = {k: t for t, k in enumerate(range(n)[_slots(prod, fibre, src.top_index)])}
+        width = len(target)
+        # images[m]: the fibre-top slots of lift(e_m) * kernel_ch, over kernel_ch.den * prod.den
+        images = []
+        for m in lifts:
+            image = [0] * width
+            for j, row in prod.cells[m]:
+                for k, c in row:
+                    if k in target:
+                        image[target[k]] += kernel[j] * c
+            images.append(image)
+        # row i: the parity times the image of e_i td = sum (td_j c / (td.den src.den)) e_m
+        rows = []
+        for cells in src.cells:
+            row = [0] * width
+            for j, products in cells:
+                for m, c in products:
+                    f = self.shift_parity * td.num[j] * c
+                    row = [a + f * b for a, b in zip(row, images[m])]
+            rows.append(row)
+        den = self.kernel_ch.den * prod.den * src.den * td.den
+        g = gcd(den, *chain.from_iterable(rows))
+        return tuple(tuple((k, a // g) for k, a in enumerate(row) if a) for row in rows), den // g
 
     @property
     def source(self) -> RingModel:
@@ -91,10 +134,7 @@ def transform(K: KernelSpec, a: CohClass) -> CohClass:
     """Apply the numerical transform of the kernel to a class on its source."""
     if a.model is not K.source:
         raise ValueError(f"class lives on {a.model.name}, kernel source is {K.source.name}")
-    lift, integrate_fiber = ((lift_left, integrate_left_fiber) if K.source_side == "left"
-                             else (lift_right, integrate_right_fiber))
-    w = lift(K.product, a * todd(K.source)) * K.kernel_ch
-    return integrate_fiber(K.product, w).scale(K.shift_parity)
+    return _apply(K.target, K.rows, a)
 
 
 def _twist_exp(prod: RingModel, left_mult: int, right_mult: int) -> CohClass:
@@ -378,7 +418,10 @@ def matrix_rank(rows: list[list[Q]]) -> int:
 
 def transform_matrix(K: KernelSpec) -> list[list[Q]]:
     """Matrix of the transform on the source model basis, rows = images."""
-    src = K.source
-    return [list(transform(K, CohClass.basis_class(src, l)).coefficient(l2)
-                 for l2 in K.target.basis)
-            for l in src.basis]
+    rows, den = K.rows
+    width = len(K.target.basis)
+    out = [[Q(0)] * width for _ in rows]
+    for image, row in zip(out, rows):
+        for k, c in row:
+            image[k] = Q(c, den)
+    return out

@@ -10,7 +10,10 @@ are found by enumerating every rank of every differential or map, with no
 interval propagation.  Chern characters of bundle expressions are built in
 the ring from their parse trees, for Riemann-Roch against the Koszul side.
 Kernels of rational matrices come from Gauss-Jordan elimination in
-Fractions, against the integer elimination of the library.
+Fractions, against the integer elimination of the library.  Euler pairings
+and integral transforms are also computed by their defining full ring
+products, against the per-model pairing form and the per-kernel transform
+rows of the library.
 """
 
 from __future__ import annotations
@@ -21,7 +24,18 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from spinorcalc.intersect import ETA, CohClass, RingModel, hyperplane, tautological_ch
+from spinorcalc.intersect import (
+    ETA,
+    CohClass,
+    RingModel,
+    hyperplane,
+    integrate_left_fiber,
+    integrate_right_fiber,
+    lift_left,
+    lift_right,
+    tautological_ch,
+    todd,
+)
 from spinorcalc.rootdata import RANK, RHO, Weight
 
 Q = Fraction
@@ -339,6 +353,22 @@ def bundle_ch(model: RingModel, tree: tuple) -> CohClass:
     if kind == "tensor":
         return bundle_ch(model, tree[1]) * bundle_ch(model, tree[2])
     raise ValueError(f"malformed bundle tree {tree!r}")
+
+
+def chi_oracle(model: RingModel, a: CohClass, b: CohClass) -> Q:
+    """The Euler pairing by its definition: the top coefficient of the full ring
+    product ch(a)^dual * ch(b) * td."""
+    return (a.dual() * b * todd(model)).integrate()
+
+
+def transform_oracle(K, a: CohClass) -> CohClass:
+    """The integral transform of the kernel ``K`` (a ``mukai.KernelSpec``) by its
+    definition: lift ch(a) td(source) to the product, multiply by the kernel,
+    integrate over the source fibre and apply the shift parity."""
+    lift, integrate_fiber = ((lift_left, integrate_left_fiber) if K.source_side == "left"
+                             else (lift_right, integrate_right_fiber))
+    w = lift(K.product, a * todd(K.source)) * K.kernel_ch
+    return integrate_fiber(K.product, w).scale(K.shift_parity)
 
 
 def kernel_basis_oracle(rows: list[list[Q]]) -> list[list[Q]]:

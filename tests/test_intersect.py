@@ -404,6 +404,67 @@ class TestColdMaps:
         assert len(rebuilt) == 1
 
 
+class TestBasisClass:
+    @pytest.mark.parametrize("coeff", [1, 0, -7, 12, Q(3, 4), Q(6, 3), "5/10", "-2", True])
+    def test_matches_the_general_constructor(self, coeff):
+        for m in ALL_MODELS():
+            for label in m.basis:
+                a = CohClass.basis_class(m, label, coeff)
+                b = CohClass(m, {label: coeff})
+                assert (a.num, a.den) == (b.num, b.den)
+                assert a.coeffs == b.coeffs and a == b
+
+    @pytest.mark.parametrize("coeff", [1, Q(1, 2), "3"])
+    def test_unknown_label(self, coeff):
+        with pytest.raises(ValueError, match=r"^unknown basis class 'Z' on X$"):
+            CohClass.basis_class(model_x(), "Z", coeff)
+
+    def test_malformed_coefficient(self):
+        with pytest.raises(ValueError):
+            CohClass.basis_class(model_x(), "H", "x")
+
+
+class TestChiErrors:
+    def test_classes_on_two_models(self):
+        X, C = model_x(), model_curve()
+        with pytest.raises(ValueError, match=r"^model mismatch: X vs C$"):
+            chi(X, CohClass.unit(X), CohClass.unit(C))
+        with pytest.raises(ValueError, match=r"^model mismatch: C vs X$"):
+            chi(C, CohClass.unit(C), CohClass.unit(X))
+
+    def test_classes_off_the_stated_model(self):
+        X, C = model_x(), model_curve()
+        with pytest.raises(ValueError, match=r"^model mismatch: C vs X$"):
+            chi(X, CohClass.unit(C), point_class(C))
+        e0, e1 = x_times_curve(eta_square=0), x_times_curve(eta_square=1)
+        with pytest.raises(ValueError, match=r"^model mismatch: XxC vs XxC$"):
+            chi(e1, CohClass.unit(e0), CohClass.unit(e0))
+
+
+def test_pairing_form_is_a_cleared_memo():
+    # built once per model and emptied with the other memos, so a cold op rebuilds it
+    _clear_model_caches()
+    X = model_x()
+    for k in range(3):
+        chi(X, CohClass.unit(X), exp_class(hyperplane(X).scale(k)))
+    assert intersect._pairing.cache_info().currsize == 1
+    _clear_model_caches()
+    assert intersect._pairing.cache_info().currsize == 0
+
+
+def test_chi_runs_no_ring_product(monkeypatch):
+    models = ALL_MODELS()
+    for m in models:
+        todd(m)   # a product model's Todd class is a product: build it first
+    classes = [CohClass.unit(m) + point_class(m) for m in models]
+    calls = []
+    mul = CohClass.__mul__
+    monkeypatch.setattr(CohClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for m, a in zip(models, classes):
+        chi(m, a, a)
+    assert calls == []
+
+
 def test_serialization_round_trip():
     prod = x_times_curve()
     cls = universal_ch(prod)

@@ -107,6 +107,21 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(kernel_phi1(), CohClass.unit(X()))
 
+    def test_source_error_text(self):
+        with pytest.raises(ValueError, match=r"^class lives on C, kernel source is X$"):
+            transform(kernel_phi1_left(), CohClass.unit(model_curve()))
+        with pytest.raises(ValueError, match=r"^class lives on X, kernel source is C$"):
+            transform(kernel_phi1(), CohClass.unit(X()))
+
+    def test_transform_runs_no_product_on_the_product_model(self, monkeypatch):
+        K, pt = kernel_phi1(), point_class(model_curve())
+        models = []
+        mul = CohClass.__mul__
+        monkeypatch.setattr(CohClass, "__mul__",
+                            lambda a, b: models.append(a.model) or mul(a, b))
+        transform(K, pt)
+        assert K.product not in models
+
 
 class TestAdjunction:
     def test_phi1_right_adjoint(self):

@@ -1,6 +1,8 @@
 """The intersect rings on random rational classes: against the polynomial-ring
 oracle of oracles.py, and through the ring axioms, the projection formula,
-the transform adjunctions and the JSON round trip.  Classes stored with a
+the transform adjunctions and the JSON round trip.  The Euler pairing and the
+integral transforms, read from per-model and per-kernel forms, are checked
+against their defining full ring products.  Classes stored with a
 common factor in numerators and denominator read and compute as the reduced
 class, and the integer elimination gives the kernels of the Fraction one."""
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PolyRing, kernel_basis_oracle
+from oracles import PolyRing, chi_oracle, kernel_basis_oracle, transform_oracle
 from spinorcalc import mukai
 from spinorcalc.intersect import (
     ETA,
@@ -73,6 +75,53 @@ def test_products_match_oracle(name, data):
                                                      ring.from_labels(b.coeffs)))
     assert a.dual().coeffs == ring.to_labels(ring.dual(ring.from_labels(a.coeffs)))
     assert a.integrate() == ring.integrate(ring.from_labels(a.coeffs))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chi_matches_oracle(name, data):
+    # the pairing form against the polynomial ring and the full ring product
+    model = MODELS[name]()
+    ring = oracle_for(name, model)
+    a, b = draw_class(data, model), draw_class(data, model)
+    expected = ring.chi(ring.from_labels(a.coeffs), ring.from_labels(b.coeffs))
+    assert chi(model, a, b) == expected == chi_oracle(model, a, b)
+
+
+@pytest.mark.parametrize("name", list(mukai.KERNELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transform_matches_oracle(name, data):
+    # the kernel's transform rows against lift, multiply, fibre-integrate, parity
+    K = mukai.KERNELS[name]()
+    a = draw_class(data, K.source)
+    out = mukai.transform(K, a)
+    assert out.model is K.target
+    assert out.coeffs == transform_oracle(K, a).coeffs
+
+
+@pytest.mark.parametrize("name", ["XxC", "SxSd", "XxSd", "SxC", "XxC-eta7/3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transform_of_any_kernel_matches_oracle(name, data):
+    # random kernels on every product, from either side and with either parity
+    prod = MODELS[name]()
+    side = data.draw(st.sampled_from(("left", "right")))
+    K = mukai.KernelSpec("random", prod, side, draw_class(data, prod),
+                         data.draw(st.sampled_from((1, -1))))
+    a = draw_class(data, K.source)
+    assert mukai.transform(K, a).coeffs == transform_oracle(K, a).coeffs
+
+
+@pytest.mark.parametrize("name", list(mukai.KERNELS))
+def test_transform_matrix_holds_the_basis_images(name):
+    K = mukai.KERNELS[name]()
+    expected = [[transform_oracle(K, CohClass.basis_class(K.source, l)).coefficient(l2)
+                 for l2 in K.target.basis] for l in K.source.basis]
+    mat = mukai.transform_matrix(K)
+    assert mat == expected
+    assert all(type(x) is Q for row in mat for x in row)
 
 
 @pytest.mark.parametrize("name", list(MODELS))
