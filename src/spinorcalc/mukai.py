@@ -10,9 +10,10 @@ product induces the transform
 with the Todd class of the source riding along the pullback; shifts enter
 only through the parity sign.  Each kernel holds that map as integer rows,
 the images of the source basis classes, read once from the product's
-structure table; a transform applies them to the class.  The convention is pinned by the adjunction
-identities chi(transform(b), a) = chi(b, adjoint_transform(a)), which the
-test suite checks over full bases, not by a literature choice.
+structure table; a transform applies them to the class.  The convention is
+pinned by the adjunction identities chi(transform(b), a) =
+chi(b, adjoint_transform(a)), which the test suite checks over full bases,
+not by a literature choice.
 """
 
 from __future__ import annotations
