@@ -18,11 +18,15 @@ either way.
 
 The splice solver extracts the unknown term of a 3- or 4-term exact
 sequence of sheaves from the known cohomology tables with the same chain,
-run over the ranks of the maps of the long exact sequence.  The named
-pipelines at the bottom assemble the section computations used for the
-rank-2 bundles E1y on the threefold and E2y on the K3 (the fibers of the
-universal families over points of the dual curve and dual surface), whose
-dual is the (-H)-twist since both have determinant H.
+run over the ranks of the maps of the long exact sequence.  The table
+``_PIPELINES`` at the bottom declares the splices that give the cohomology
+of the rank-2 bundles E1y on the threefold and E2y on the K3 (the fibers of
+the universal families over points of the dual curve and dual surface),
+whose dual is the (-H)-twist since both have determinant H.  Each entry
+lists the terms of one exact sequence: section tables, results of earlier
+entries, and the unknown.  One memoized evaluator solves an entry, and
+every known term it splices must be exact; the ``pipeline_*`` functions
+return its results.
 """
 
 from __future__ import annotations
@@ -318,90 +322,72 @@ def splice_solve(problem: SpliceProblem) -> SectionResult:
 # E1y is the rank-2 bundle on the threefold X (codim 7) with c1 = H and
 # c2 = 5L attached to a point y of the dual curve; E2y its analogue on the
 # K3 section S (codim 8).  Both satisfy dual(Ey) = Ey(-H).  U below is the
-# tautological subbundle restricted to the section at hand.  The two
-# pipelines the others build on are memoized; their results are frozen.
+# tautological subbundle restricted to the section at hand.
 # ---------------------------------------------------------------------------
 
 
-def _exact_table(expr: str, codim: int, copies: int = 1) -> CohomologyTable:
-    res = section_cohomology(make_bundle(expr), codim)
+# result name -> (the terms of its exact sequence, dim).  A term is a section table
+# (bundle expression, codim, copies), an earlier entry's result (name, copies), or UNKNOWN.
+_PIPELINES: dict[str, tuple[tuple[Optional[tuple], ...], int]] = {
+    # 0 -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0 on the index-2 fourfold (codim 6)
+    "E1y(-H)": ((("O(-1)", 6, 5), ("dual(U)(-1)", 6, 1), UNKNOWN), 4),
+    # 0 -> dual(U)(-1)^5 -> dual(U)*dual(U)(-1) -> E1y*dual(U)(-H) -> 0, the above times dual(U)
+    "E1y*dual(U)(-H)": ((("dual(U)(-1)", 6, 5), ("dual(U)*dual(U)(-1)", 6, 1), UNKNOWN), 4),
+    # 0 -> E1y(-2H) -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0 on X
+    "E1y(-2H)": ((UNKNOWN, ("O(-1)", 7, 5), ("dual(U)(-1)", 7, 1), ("E1y(-H)", 1)), 3),
+    # 0 -> E1y(-2H) -> E1y(-H) -> E2y(-H) -> 0, restricting E1y(-H) from X to S
+    "E2y(-H)": ((("E1y(-2H)", 1), ("E1y(-H)", 1), UNKNOWN), 3),
+    # 0 -> E1y*U(-H) -> E1y(-H)^10 -> E1y*dual(U)(-H) -> 0, from 0 -> U -> O^10 -> dual(U) -> 0
+    "E1y*U(-H)": ((UNKNOWN, ("E1y(-H)", 10), ("E1y*dual(U)(-H)", 1)), 3),
+    # 0 -> E1y(-H) -> U -> O^5 -> E1y -> 0 tensored with dual(U)(-H)
+    "E1y*dual(U)(-2H)": ((UNKNOWN, ("U*dual(U)(-1)", 7, 1), ("dual(U)(-1)", 7, 5),
+                          ("E1y*dual(U)(-H)", 1)), 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _solve(name: str) -> SectionResult:
+    """The entry ``name`` solved for its unknown; its results are frozen."""
+    terms, dim = _PIPELINES[name]
+    return splice_solve(SpliceProblem(tuple(map(_known, terms)), dim=dim))
+
+
+def _known(term: Optional[tuple]) -> Term:
+    """The table of a known term times its copies, which must be exact; UNKNOWN stays."""
+    if term is UNKNOWN:
+        return UNKNOWN
+    if len(term) == 3:
+        expr, codim, copies = term
+        res, what = section_cohomology(expr, codim), f"{expr} at codim {codim}"
+    else:
+        name, copies = term
+        res, what = _solve(name), f"the {name} result"
     if not res.exact:
-        raise ArithmeticError(f"expected a collapsed table for {expr} at codim {codim}")
+        raise ArithmeticError(f"expected a collapsed table for {what}")
     return res.table if copies == 1 else res.table.scaled(copies)
 
 
-@functools.lru_cache(maxsize=None)
 def pipeline_e1y_vanishing() -> tuple[SectionResult, SectionResult]:
-    """H(X, E1y(-H)) = 0 and H(X, E1y x dual(U)(-H)) = 0.
-
-    Both come from the presentation of E1y on the index-2 fourfold
-    (codim 6): 0 -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0, optionally
-    tensored with dual(U).
-    """
-    plain = splice_solve(SpliceProblem(
-        (_exact_table("O(-1)", 6, copies=5), _exact_table("dual(U)(-1)", 6), UNKNOWN),
-        dim=4,
-    ))
-    tensored = splice_solve(SpliceProblem(
-        (_exact_table("dual(U)(-1)", 6, copies=5),
-         _exact_table("dual(U)*dual(U)(-1)", 6), UNKNOWN),
-        dim=4,
-    ))
-    return plain, tensored
+    """H(X, E1y(-H)) = 0 and H(X, E1y x dual(U)(-H)) = 0, from the fourfold."""
+    return _solve("E1y(-H)"), _solve("E1y*dual(U)(-H)")
 
 
-@functools.lru_cache(maxsize=None)
 def pipeline_e1y_double_twist() -> SectionResult:
-    """H(X, E1y(-2H)) via 0 -> E1y(-2H) -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0.
-
-    The interesting entry is degree 1, which must vanish.
-    """
-    e1y_minus_h = pipeline_e1y_vanishing()[0].table
-    return splice_solve(SpliceProblem(
-        (UNKNOWN,
-         _exact_table("O(-1)", 7, copies=5),
-         _exact_table("dual(U)(-1)", 7),
-         e1y_minus_h),
-        dim=3,
-    ))
+    """H(X, E1y(-2H)); the interesting entry is degree 1, which must vanish."""
+    return _solve("E1y(-2H)")
 
 
 def pipeline_e2y_h0() -> SectionResult:
-    """H(S, E2y(-H)) via restriction: 0 -> E1y(-2H) -> E1y(-H) -> E2y(-H)|_S -> 0.
-
-    Degree 0 must vanish (stability of E2y).
-    """
-    e1y_minus_2h = pipeline_e1y_double_twist()
-    if not e1y_minus_2h.exact:
-        raise ArithmeticError("double-twist table did not collapse")
-    e1y_minus_h = pipeline_e1y_vanishing()[0].table
-    return splice_solve(SpliceProblem(
-        (e1y_minus_2h.table, e1y_minus_h, UNKNOWN),
-        dim=3,
-    ))
+    """H(S, E2y(-H)); degree 0 must vanish (stability of E2y)."""
+    return _solve("E2y(-H)")
 
 
 def pipeline_e1y_tensor_u() -> SectionResult:
-    """H(X, E1y x U(-H)) = 0 from 0 -> U -> O^10 -> dual(U) -> 0 tensored with E1y(-H)."""
-    plain, tensored = pipeline_e1y_vanishing()
-    return splice_solve(SpliceProblem(
-        (UNKNOWN, plain.table.scaled(10), tensored.table),
-        dim=3,
-    ))
+    """H(X, E1y x U(-H)) = 0."""
+    return _solve("E1y*U(-H)")
 
 
 def pipeline_e1y_tensor_udual_2h() -> SectionResult:
-    """H(X, E1y x dual(U)(-2H)) = {3: 1}.
-
-    Uses the dual presentation 0 -> E1y(-H) -> U -> O^5 -> E1y -> 0
-    tensored with dual(U)(-H); the one-dimensional degree-3 group is the
-    numerical source of the left transform of dual(U) being a line.
-    """
-    _, tensored = pipeline_e1y_vanishing()
-    return splice_solve(SpliceProblem(
-        (UNKNOWN,
-         _exact_table("U*dual(U)(-1)", 7),
-         _exact_table("dual(U)(-1)", 7, copies=5),
-         tensored.table),
-        dim=3,
-    ))
+    """H(X, E1y x dual(U)(-2H)) = {3: 1}, the numerical source of the left transform
+    of dual(U) being a line."""
+    return _solve("E1y*dual(U)(-2H)")

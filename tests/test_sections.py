@@ -2,7 +2,8 @@ import pytest
 
 from oracles import page_cells
 from spinorcalc import sections
-from spinorcalc.bbw import CohomologyTable, O, U, make_bundle
+from spinorcalc.bbw import DIM, CohomologyTable, O, U, make_bundle
+from spinorcalc.cli import run
 from spinorcalc.sections import (
     UNKNOWN,
     SectionResult,
@@ -240,3 +241,72 @@ class TestPipelines:
         assert plain.euler == 0 and tensored.euler == 0
         assert pipeline_e1y_double_twist().euler == -5
         assert pipeline_e1y_tensor_udual_2h().euler == -1
+
+
+WRAPPERS = (pipeline_e1y_vanishing, pipeline_e1y_double_twist, pipeline_e2y_h0,
+            pipeline_e1y_tensor_u, pipeline_e1y_tensor_udual_2h)
+PIPELINE_NAMES = list(sections._PIPELINES)
+
+
+@pytest.fixture
+def fresh_pipelines(monkeypatch):
+    """``monkeypatch`` for the pipeline table, with the evaluator's memo empty before and
+    after the test."""
+    sections._solve.cache_clear()
+    yield monkeypatch
+    sections._solve.cache_clear()
+
+
+@pytest.mark.parametrize("name", PIPELINE_NAMES)
+def test_pipeline_entry(name):
+    terms, dim = sections._PIPELINES[name]
+    assert len(terms) in (3, 4) and terms.count(UNKNOWN) == 1
+    earlier = PIPELINE_NAMES[:PIPELINE_NAMES.index(name)]
+    for term in terms:
+        if term is UNKNOWN:
+            continue
+        if len(term) == 3:   # a section table
+            expr, codim, copies = term
+            make_bundle(expr)
+            assert DIM - codim >= dim and copies >= 1
+        else:                # a reference, only to an earlier entry, so the evaluator ends
+            ref, copies = term
+            assert ref in earlier and copies >= 1
+    assert sections._solve(name).exact
+
+
+def test_wrappers_share_one_memo(fresh_pipelines):
+    first = [w() for w in WRAPPERS]
+    assert sections._solve.cache_info().currsize == len(PIPELINE_NAMES)
+    for wrapper, res in zip(WRAPPERS, first):
+        again = wrapper()
+        if isinstance(res, tuple):
+            assert len(again) == len(res) and all(a is b for a, b in zip(again, res))
+        else:
+            assert again is res
+
+
+def test_inexact_reference_raises(fresh_pipelines):
+    # O on the K3 into O: the map is an isomorphism or zero, so the cokernel is euler_only;
+    # its upper bounds must not enter a splice as a pinned table
+    fresh_pipelines.setitem(sections._PIPELINES, "E1y(-H)",
+                            ((("O", 8, 1), ("O", 8, 1), UNKNOWN), 2))
+    assert not pipeline_e1y_vanishing()[0].exact
+    for wrapper in (pipeline_e1y_double_twist, pipeline_e2y_h0, pipeline_e1y_tensor_u):
+        with pytest.raises(ArithmeticError) as err:
+            wrapper()
+        assert str(err.value) == "expected a collapsed table for the E1y(-H) result"
+
+
+def test_inexact_section_term_error_text(fresh_pipelines, capsys):
+    expr = "dual(U*U*U*U)(-2)"
+    assert not section_cohomology(expr, 7).exact
+    fresh_pipelines.setitem(sections._PIPELINES, "E1y*dual(U)(-2H)",
+                            ((UNKNOWN, (expr, 7, 1), ("dual(U)(-1)", 7, 5),
+                              ("E1y*dual(U)(-H)", 1)), 3))
+    message = f"expected a collapsed table for {expr} at codim 7"
+    with pytest.raises(ArithmeticError) as err:
+        pipeline_e1y_tensor_udual_2h()
+    assert str(err.value) == message
+    assert run(["verify", "--suite", "koszul"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
