@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import bbw, intersect, mukai, sections
 from .bbw import BundleExprError, make_bundle
@@ -63,156 +63,96 @@ class VerifyReport:
         }
 
 
-def _check(name: str, claim: str, expected, computed) -> VerifyCheck:
-    return VerifyCheck(name, claim, str(expected), str(computed), expected == computed)
+class _Record(NamedTuple):
+    """One verify check.  ``compute(memo)`` returns the computed value or, when
+    ``expected`` is None, ``dict(expected=..., computed=...)`` with the two
+    evaluated in the order they are written."""
+
+    name: str
+    claim: str
+    expected: object
+    compute: Callable[["_Memo"], object]
 
 
-def _suite_bbw() -> list[VerifyCheck]:
-    out = [
-        _check("sections-of-O(1)", "the ample generator has a 16-dimensional section space",
-               "{0: 16}", str(bbw.cohomology(make_bundle("O(1)")))),
-        _check("sections-of-dual-U", "dual tautological bundle has 10 sections",
-               "{0: 10}", str(bbw.cohomology(make_bundle("dual(U)")))),
-        _check("negative-twist-acyclicity", "O(-k) acyclic for k = 1..7",
-               True, all(bbw.cohomology(bbw.O(-k)).is_zero for k in range(1, 8))),
-        _check("canonical-twist", "O(-8) has one-dimensional top cohomology only",
-               "{10: 1}", str(bbw.cohomology(bbw.O(-8)))),
-        _check("tenfold-degree", "10! times the leading Hilbert coefficient",
-               12, bbw.tenfold_degree()),
-    ]
-    return out
+class _Memo(dict):
+    """The values several checks of one ``verify_suite`` call share, each computed
+    on first use: the ``_SHARED`` entries, and the result of each
+    ``sections.pipeline_*`` wrapper under the wrapper's name."""
+
+    def __missing__(self, key: str):
+        self[key] = _SHARED[key](self) if key in _SHARED else getattr(sections, key)()
+        return self[key]
 
 
-def _suite_koszul() -> list[VerifyCheck]:
-    def tab(expr: str, codim: int) -> str:
-        res = sections.section_cohomology(make_bundle(expr), codim)
-        return f"{res.status}:{res.table}"
-
-    checks = [
-        _check("threefold-structure-sheaf", "H(X, O) is one-dimensional in degree 0",
-               "exact:{0: 1}", tab("O", 7)),
-        _check("threefold-endomorphisms", "self-extensions of the tautological bundle",
-               "exact:{0: 1}", tab("dual(U)*U", 7)),
-        _check("threefold-tautological-acyclic", "H(X, U) = 0",
-               "exact:{}", tab("U", 7)),
-        _check("serre-partner-acyclic", "H(X, dual(U)(-1)) = 0",
-               "exact:{}", tab("dual(U)(-1)", 7)),
-        _check("adjoint-twist", "H(X, U*dual(U)(-1)) is a line in degree 3",
-               "exact:{3: 1}", tab("U*dual(U)(-1)", 7)),
-        _check("fourfold-dual-twist", "H on the index-2 fourfold of dual(U)(-1) vanishes",
-               "exact:{}", tab("dual(U)(-1)", 6)),
-        _check("k3-structure-sheaf", "K3 section has h^0 = h^2 = 1",
-               "exact:{0: 1, 2: 1}", tab("O", 8)),
-        _check("threefold-anticanonical-hilbert", "chi(O_X(1)) = 9",
-               9, sections.section_hilbert(7, 1)),
-        _check("curve-hilbert", "chi on the curve is 12k - 6 for k in -2..3",
-               True,
-               all(sections.section_hilbert(9, k) == 12 * k - 6 for k in range(-2, 4))),
-    ]
-
-    plain, tensored = sections.pipeline_e1y_vanishing()
-    checks += [
-        _check("e1y-twist-vanishing", "H(X, E1y(-H)) = 0 with a collapsed page",
-               "exact:{}", f"{plain.status}:{plain.table}"),
-        _check("e1y-dualU-twist-vanishing", "H(X, E1y x dual(U)(-H)) = 0",
-               "exact:{}", f"{tensored.status}:{tensored.table}"),
-    ]
-    double = sections.pipeline_e1y_double_twist()
-    checks.append(_check("e1y-double-twist-degree1", "H^1(X, E1y(-2H)) = 0, exactly solved",
-                         "exact:0", f"{double.status}:{double.table.dim(1)}"))
-    h0 = sections.pipeline_e2y_h0()
-    checks.append(_check("e2y-twist-degree0", "H^0(S, E2y(-H)) = 0, exactly solved",
-                         "exact:0", f"{h0.status}:{h0.table.dim(0)}"))
-    tensor_u = sections.pipeline_e1y_tensor_u()
-    checks.append(_check("e1y-tensor-u-vanishing", "H(X, E1y x U(-H)) = 0",
-                         "exact:{}", f"{tensor_u.status}:{tensor_u.table}"))
-    adj = sections.pipeline_e1y_tensor_udual_2h()
-    checks.append(_check("e1y-dualU-double-twist", "H(X, E1y x dual(U)(-2H)) is a degree-3 line",
-                         "exact:{3: 1}", f"{adj.status}:{adj.table}"))
-    return checks
+def _run_record(record: _Record, memo: _Memo) -> VerifyCheck:
+    value = record.compute(memo)
+    expected, computed = ((value["expected"], value["computed"]) if record.expected is None
+                          else (record.expected, value))
+    return VerifyCheck(record.name, record.claim, str(expected), str(computed),
+                       expected == computed)
 
 
-def _suite_cherns() -> list[VerifyCheck]:
+def _status(res: sections.SectionResult, degree: Optional[int] = None) -> str:
+    return f"{res.status}:{res.table if degree is None else res.table.dim(degree)}"
+
+
+def _hyperplanes(prod: intersect.RingModel) -> tuple[CohClass, CohClass]:
+    """The hyperplane classes of the two factors, lifted to the product model."""
+    left, right = prod.factors
+    return (intersect.lift_left(prod, intersect.hyperplane(left)),
+            intersect.lift_right(prod, intersect.hyperplane(right)))
+
+
+def _adjoint(left: str, right: str) -> bool:
+    """chi(L x, y) = chi(x, R y) on full bases, for the kernels named ``left`` (L)
+    and ``right`` (R), L left adjoint to R."""
+    lx, ry = ([(x, mukai.transform(k, x))
+               for x in (CohClass.basis_class(k.source, label) for label in k.source.basis)]
+              for k in (mukai.KERNELS[name]() for name in (left, right)))
+    return all(mukai.euler(y.model, image_x, y) == mukai.euler(x.model, x, image_y)
+               for x, image_x in lx for y, image_y in ry)
+
+
+def _tautological_chi(m: _Memo) -> str:
     X = intersect.model_x()
-    checks = []
-
     taut = intersect.tautological_ch(X)
-    expected = CohClass(X, {"1": Q(5), "H": Q(-2), "P": Q(1)})
-    checks.append(_check("tautological-character", "ch(U) = 5 - 2H + P on the threefold",
-                         str(expected), str(taut)))
     chi_taut = mukai.euler(X, CohClass.unit(X), taut)
     chi_taut_dual = mukai.euler(X, CohClass.unit(X),
                                 taut.dual().twisted(-1 * intersect.hyperplane(X)))
-    checks.append(_check("tautological-chi", "chi(X, U) = 0 and chi(X, dual(U)(-1)) = 0",
-                         "0, 0", f"{chi_taut}, {chi_taut_dual}"))
+    return f"{chi_taut}, {chi_taut_dual}"
 
+
+def _stated_c1_c2_threefold_curve() -> tuple[CohClass, CohClass]:
+    """c1 = H_X + H_C and c2 = (7/12) H_X H_C + 5 L + eta on the threefold-curve product."""
     prod = intersect.x_times_curve()
-    e1 = intersect.universal_ch(prod)
-    c1, c2 = e1.chern_classes()[:2]
-    expected_c1 = intersect.lift_left(prod, intersect.hyperplane(X)) \
-        + intersect.lift_right(prod, intersect.hyperplane(intersect.model_curve()))
-    expected_c2 = (
-        intersect.lift_left(prod, intersect.hyperplane(X))
-        * intersect.lift_right(prod, intersect.hyperplane(intersect.model_curve()))
-    ).scale(Q(7, 12)) + intersect.lift_left(
-        prod, CohClass.basis_class(X, "L", 5)) + CohClass.basis_class(prod, intersect.ETA)
-    checks.append(_check("universal-c1-threefold-curve", "c1 = H_X + H_C",
-                         str(expected_c1), str(c1)))
-    checks.append(_check("universal-c2-threefold-curve",
-                         "c2 = (7/12) H_X H_C + 5 L + eta",
-                         str(expected_c2), str(c2)))
-    checks.append(_check("universal-ch3-threefold-curve", "ch_3 = -P/2",
-                         str(CohClass(prod, {"P*1": Q(-1, 2)})), str(e1.component(3))))
+    (hx, hc), X = _hyperplanes(prod), prod.factors[0]
+    return hx + hc, ((hx * hc).scale(Q(7, 12)) + CohClass.basis_class(prod, intersect.ETA)
+                     + intersect.lift_left(prod, CohClass.basis_class(X, "L", 5)))
 
-    Ssurf, Sd = intersect.model_s(), intersect.model_sdual()
-    prod2 = intersect.s_times_sdual()
-    e2 = intersect.universal_ch(prod2)
-    c2_2 = e2.chern_classes()[1]
-    expected_c2_2 = (intersect.lift_left(prod2, intersect.hyperplane(Ssurf))
-                     * intersect.lift_right(prod2, intersect.hyperplane(Sd))).scale(Q(7, 12)) \
-        + intersect.lift_left(prod2, CohClass.basis_class(Ssurf, "P", 5)) \
-        + intersect.lift_right(prod2, CohClass.basis_class(Sd, "P", 5))
-    checks.append(_check("universal-c2-k3-pair", "c2 = (7/12) H_S H_Sd + 5 P_S + 5 P_Sd",
-                         str(expected_c2_2), str(c2_2)))
 
-    eta2 = intersect.eta_square_solve()
-    checks.append(_check("eta-square", "the formal class squares to 14 (sign as solved)",
-                         14, abs(eta2)))
-    checks.append(_check("eta-square-sign", "solver sign report", "14", str(eta2)))
+def _universal_c2_k3_pair(m: _Memo) -> dict:
+    prod = intersect.s_times_sdual()
+    c2 = intersect.universal_ch(prod).chern_classes()[1]
+    (hs, hsd), (S, Sd) = _hyperplanes(prod), prod.factors
+    return dict(computed=str(c2), expected=str(
+        (hs * hsd).scale(Q(7, 12)) + intersect.lift_left(prod, CohClass.basis_class(S, "P", 5))
+        + intersect.lift_right(prod, CohClass.basis_class(Sd, "P", 5))))
 
+
+def _chi_without_eta(m: _Memo) -> str:
     no_eta = intersect.x_times_curve(eta_square=0)
-    uni0 = intersect.universal_ch(no_eta)
-    checks.append(_check("eta-square-guard",
-                         "dropping eta breaks the moduli self-pairing (-20/3 instead of 12)",
-                         str(Q(-20, 3)), str(intersect.chi(no_eta, uni0, uni0))))
-
-    checks.append(_check("todd-threefold", "chi(O_X) = 1 from the Todd class",
-                         1, intersect.todd(X).integrate()))
-    checks.append(_check("todd-curve", "chi(O_C) = -6 from the Todd class",
-                         -6, intersect.todd(intersect.model_curve()).integrate()))
-    checks.append(_check("riemann-roch-vs-koszul", "chi(O_X(1)) agrees between routes",
-                         sections.section_hilbert(7, 1),
-                         (intersect.exp_class(intersect.hyperplane(X))
-                          * intersect.todd(X)).integrate()))
-    checks.append(_check("glueing-character", "glued kernel character matches its pieces "
-                         "below the top Kunneth class",
-                         True, _glueing_defect_below_top()))
-    return checks
+    uni = intersect.universal_ch(no_eta)
+    return str(intersect.chi(no_eta, uni, uni))
 
 
 def _glueing_defect_below_top() -> bool:
     """The glued-kernel character equals the two corrected pushforwards in
     codimension < 5; the top class sees the truncated transcendental block."""
-    XxS = intersect.x_times_sdual()
-    XxC = intersect.x_times_curve()
-    SxS = intersect.s_times_sdual()
-    X = intersect.model_x()
-    S = intersect.model_s()
-    C = intersect.model_curve()
+    XxS, XxC, SxS = intersect.x_times_sdual(), intersect.x_times_curve(), intersect.s_times_sdual()
+    (X, Sd), S = XxS.factors, SxS.factors[0]
 
     e1 = intersect.universal_ch(XxC)
-    hx = intersect.lift_left(XxC, intersect.hyperplane(X))
-    hc = intersect.lift_right(XxC, intersect.hyperplane(C))
+    hx, hc = _hyperplanes(XxC)
     w1 = e1 * intersect.exp_class(-1 * hx) \
         * (CohClass.unit(XxC) - hc.scale(Q(1, 2)))  # normal-bundle Todd inverse
     push1 = intersect.geom_map("mu1").push(w1)
@@ -224,17 +164,36 @@ def _glueing_defect_below_top() -> bool:
     push2 = intersect.geom_map("mu2").push(e2 * td_inv)
 
     glued = intersect.lift_left(XxS, intersect.tautological_ch(X).dual()) \
-        - intersect.lift_right(XxS, intersect.tautological_ch(intersect.model_sdual()))
+        - intersect.lift_right(XxS, intersect.tautological_ch(Sd))
     defect = glued - push1 - push2
     return all(defect.component(k).is_zero for k in range(0, XxS.dim))
+
+
+def _mutated_pair(m: _Memo) -> tuple:
+    X = intersect.model_x()
+    report = mukai.gram([("O_X", CohClass.unit(X)), ("mutated", m["mutated"])], X)
+    return report.semiorthogonal, report.exceptional
+
+
+def _k3_transform_rank(m: _Memo) -> dict:
+    mat = mukai.transform_matrix(mukai.kernel_phi2())
+    return dict(expected=len(mat), computed=mukai.matrix_rank(mat))
+
+
+# A collection of n tokens has up to 2n classes and (2n)^2 Euler pairings.
+_MAX_GRAM_TOKENS = 16
 
 
 def _gram_collection(tokens: str) -> tuple[list[tuple[str, CohClass]], list[int]]:
     """The threefold classes named by comma-separated tokens, with their block
     sizes: u is U+, o is O_X, and phi1 the block (Phi1(O_C), Phi1(pt))."""
+    names = tokens.split(",")
+    if len(names) > _MAX_GRAM_TOKENS:
+        raise ValueError(f"a gram collection has at most {_MAX_GRAM_TOKENS} tokens, "
+                         f"got {len(names)}")
     collection: list[tuple[str, CohClass]] = []
     blocks: list[int] = []
-    for token in tokens.split(","):
+    for token in names:
         token = token.strip()
         if token == "u":
             collection.append(("U+", mukai.class_u_plus()))
@@ -253,114 +212,167 @@ def _gram_collection(tokens: str) -> tuple[list[tuple[str, CohClass]], list[int]
     return collection, blocks
 
 
-def _suite_sod() -> list[VerifyCheck]:
-    X = intersect.model_x()
-    C = intersect.model_curve()
-    Ssurf, Sd = intersect.model_s(), intersect.model_sdual()
-    checks = [
-        _check("fiber-self-pairing-threefold", "chi(E1y, E1y) = 0",
-               0, mukai.euler(X, mukai.class_e1y(), mukai.class_e1y())),
-        _check("fiber-self-pairing-k3", "chi(E2y, E2y) = 0",
-               0, mukai.euler(Ssurf, mukai.class_e2y(), mukai.class_e2y())),
-    ]
+# Values that several checks read, computed once per verify_suite call (see _Memo).
+_SHARED: dict[str, Callable[[_Memo], object]] = {
+    "c(E1)": lambda m: intersect.universal_ch(intersect.x_times_curve()).chern_classes(),
+    "stated c(E1)": lambda m: _stated_c1_c2_threefold_curve(),
+    "eta^2": lambda m: intersect.eta_square_solve(),
+    "collection": lambda m: _gram_collection("u,o,phi1"),
+    "gram": lambda m: mukai.gram(m["collection"][0], intersect.model_x(),
+                                 blocks=m["collection"][1]),
+    "mutated": lambda m: mukai.mutate(mukai.class_u_plus(), CohClass.unit(intersect.model_x()),
+                                      intersect.model_x(), "right"),
+    "orthogonal basis": lambda m: mukai.orthogonal_complement_basis(),
+}
 
-    coll, blocks = _gram_collection("u,o,phi1")
-    report = mukai.gram(coll, X, blocks=blocks)
-    checks.append(_check("gram-block-triangular",
-                         "no pairings backwards from later blocks", True, report.semiorthogonal))
-    checks.append(_check("gram-unit-diagonal", "the two exceptional classes are unit lines",
-                         (True, True), report.exceptional[:2]))
-    rows = [[cls.coefficient(l) for l in X.basis] for _, cls in coll]
-    checks.append(_check("gram-span", "the four classes span the rank-4 even lattice",
-                         4, mukai.matrix_rank(rows)))
+# name, claim, expected, bundle expression, codim of the linear section
+_SECTION_ROWS = (
+    ("threefold-structure-sheaf", "H(X, O) is one-dimensional in degree 0", "exact:{0: 1}", "O", 7),
+    ("threefold-endomorphisms", "self-extensions of the tautological bundle", "exact:{0: 1}",
+     "dual(U)*U", 7),
+    ("threefold-tautological-acyclic", "H(X, U) = 0", "exact:{}", "U", 7),
+    ("serre-partner-acyclic", "H(X, dual(U)(-1)) = 0", "exact:{}", "dual(U)(-1)", 7),
+    ("adjoint-twist", "H(X, U*dual(U)(-1)) is a line in degree 3", "exact:{3: 1}",
+     "U*dual(U)(-1)", 7),
+    ("fourfold-dual-twist", "H on the index-2 fourfold of dual(U)(-1) vanishes", "exact:{}",
+     "dual(U)(-1)", 6),
+    ("k3-structure-sheaf", "K3 section has h^0 = h^2 = 1", "exact:{0: 1, 2: 1}", "O", 8),
+)
 
-    mutated = mukai.mutate(mukai.class_u_plus(), CohClass.unit(X), X, "right")
-    checks.append(_check("mutation", "right mutation of U through O is dual(U)",
-                         str(mukai.class_u_plus_dual()), str(mutated)))
-    mreport = mukai.gram([("O_X", CohClass.unit(X)), ("mutated", mutated)], X)
-    checks.append(_check("mutated-pair", "the mutated pair is numerically exceptional",
-                         (True, (True, True)), (mreport.semiorthogonal, mreport.exceptional)))
+# name, claim, expected, sections.pipeline_* wrapper, index of the result in the
+# wrapper's pair (None: its only result), degree (None: the whole table)
+_PIPELINE_ROWS = (
+    ("e1y-twist-vanishing", "H(X, E1y(-H)) = 0 with a collapsed page", "exact:{}",
+     "pipeline_e1y_vanishing", 0, None),
+    ("e1y-dualU-twist-vanishing", "H(X, E1y x dual(U)(-H)) = 0", "exact:{}",
+     "pipeline_e1y_vanishing", 1, None),
+    ("e1y-double-twist-degree1", "H^1(X, E1y(-2H)) = 0, exactly solved", "exact:0",
+     "pipeline_e1y_double_twist", None, 1),
+    ("e2y-twist-degree0", "H^0(S, E2y(-H)) = 0, exactly solved", "exact:0",
+     "pipeline_e2y_h0", None, 0),
+    ("e1y-tensor-u-vanishing", "H(X, E1y x U(-H)) = 0", "exact:{}",
+     "pipeline_e1y_tensor_u", None, None),
+    ("e1y-dualU-double-twist", "H(X, E1y x dual(U)(-2H)) is a degree-3 line", "exact:{3: 1}",
+     "pipeline_e1y_tensor_udual_2h", None, None),
+)
 
-    basis = mukai.orthogonal_complement_basis()
-    checks.append(_check("orthogonal-complement-rank",
-                         "numerical left orthogonal of (U+, O) has rank 2",
-                         2, len(basis)))
-    checks.append(_check("glued-kernel-vanishing",
-                         "glued-kernel transform kills the orthogonal complement",
-                         True, all(mukai.commdiag_check(v) for v in basis)))
-
-    def images(kernel, basis):
-        return [(b, mukai.transform(kernel, b)) for b in basis]
-
-    x_basis, c_basis, s_basis, sd_basis = ([CohClass.basis_class(m, l) for l in m.basis]
-                                           for m in (X, C, Ssurf, Sd))
-    phi1_c = images(mukai.kernel_phi1(), c_basis)
-    phi1s_x = images(mukai.kernel_phi1_shriek(), x_basis)
-    adj_ok = all(mukai.euler(X, pb, a) == mukai.euler(C, b, pa)
-                 for b, pb in phi1_c for a, pa in phi1s_x)
-    checks.append(_check("adjunction-threefold-curve",
-                         "chi(Phi1 b, a) = chi(b, Phi1! a) on full bases", True, adj_ok))
-    phi2 = mukai.kernel_phi2()
-    phi2l_s = images(mukai.kernel_phi2_left(), s_basis)
-    phi2_sd = images(phi2, sd_basis)
-    adj2_ok = all(mukai.euler(Sd, pa, b) == mukai.euler(Ssurf, a, pb)
-                  for a, pa in phi2l_s for b, pb in phi2_sd)
-    checks.append(_check("adjunction-k3-pair",
-                         "chi(Phi2* a, b) = chi(a, Phi2 b) on full bases", True, adj2_ok))
-
-    mat = mukai.transform_matrix(phi2)
-    checks.append(_check("k3-transform-invertible",
-                         "the K3 transform is invertible on the truncated lattice",
-                         len(mat), mukai.matrix_rank(mat)))
-    return checks
-
-
-def _suite_conics() -> list[VerifyCheck]:
-    X = intersect.model_x()
-    conic = mukai.class_o_conic()
-    taut_c1 = mukai.class_u_plus().chern_classes()[0]
-    checks = [
-        _check("conic-degree", "deg of the tautological bundle on a conic is -4",
-               Q(-4), (taut_c1 * conic).integrate()),
-        _check("conic-vs-structure", "chi(O_R, O_X) = 1",
-               1, mukai.euler(X, conic, CohClass.unit(X))),
-        _check("conic-vs-tautological", "chi(O_R, U+) = 1",
-               1, mukai.euler(X, conic, mukai.class_u_plus())),
-        _check("conic-right-transform", "the right adjoint sends a conic to a length-2 cycle",
-               str(CohClass.basis_class(intersect.model_curve(), "pt", 2)),
-               str(mukai.transform(mukai.kernel_phi1_shriek(), conic))),
-    ]
-    return checks
-
-
-SUITES: dict[str, Callable[[], list[VerifyCheck]]] = {
-    "bbw": _suite_bbw,
-    "koszul": _suite_koszul,
-    "cherns": _suite_cherns,
-    "sod": _suite_sod,
-    "conics": _suite_conics,
+# The checks of each suite in evaluation order.  A record looks up the library
+# functions it calls when it runs, so wrappers installed on the modules see them.
+SUITES: dict[str, tuple[_Record, ...]] = {
+    "bbw": (
+        _Record("sections-of-O(1)", "the ample generator has a 16-dimensional section space",
+                "{0: 16}", lambda m: str(bbw.cohomology(make_bundle("O(1)")))),
+        _Record("sections-of-dual-U", "dual tautological bundle has 10 sections",
+                "{0: 10}", lambda m: str(bbw.cohomology(make_bundle("dual(U)")))),
+        _Record("negative-twist-acyclicity", "O(-k) acyclic for k = 1..7",
+                True, lambda m: all(bbw.cohomology(bbw.O(-k)).is_zero for k in range(1, 8))),
+        _Record("canonical-twist", "O(-8) has one-dimensional top cohomology only",
+                "{10: 1}", lambda m: str(bbw.cohomology(bbw.O(-8)))),
+        _Record("tenfold-degree", "10! times the leading Hilbert coefficient",
+                12, lambda m: bbw.tenfold_degree()),
+    ),
+    "koszul": (
+        *(_Record(name, claim, expected, lambda m, e=expr, c=codim:
+                  _status(sections.section_cohomology(make_bundle(e), c)))
+          for name, claim, expected, expr, codim in _SECTION_ROWS),
+        _Record("threefold-anticanonical-hilbert", "chi(O_X(1)) = 9",
+                9, lambda m: sections.section_hilbert(7, 1)),
+        _Record("curve-hilbert", "chi on the curve is 12k - 6 for k in -2..3", True,
+                lambda m: all(sections.section_hilbert(9, k) == 12 * k - 6 for k in range(-2, 4))),
+        *(_Record(name, claim, expected, lambda m, w=wrapper, i=index, d=degree:
+                  _status(m[w] if i is None else m[w][i], d))
+          for name, claim, expected, wrapper, index, degree in _PIPELINE_ROWS),
+    ),
+    "cherns": (
+        _Record("tautological-character", "ch(U) = 5 - 2H + P on the threefold", None,
+                lambda m: dict(computed=str(intersect.tautological_ch(intersect.model_x())),
+                               expected=str(CohClass(intersect.model_x(),
+                                                     {"1": Q(5), "H": Q(-2), "P": Q(1)})))),
+        _Record("tautological-chi", "chi(X, U) = 0 and chi(X, dual(U)(-1)) = 0",
+                "0, 0", _tautological_chi),
+        _Record("universal-c1-threefold-curve", "c1 = H_X + H_C", None, lambda m: dict(
+            computed=str(m["c(E1)"][0]), expected=str(m["stated c(E1)"][0]))),
+        _Record("universal-c2-threefold-curve", "c2 = (7/12) H_X H_C + 5 L + eta", None,
+                lambda m: dict(computed=str(m["c(E1)"][1]), expected=str(m["stated c(E1)"][1]))),
+        _Record("universal-ch3-threefold-curve", "ch_3 = -P/2", None, lambda m: dict(
+            expected=str(CohClass(intersect.x_times_curve(), {"P*1": Q(-1, 2)})),
+            computed=str(intersect.universal_ch(intersect.x_times_curve()).component(3)))),
+        _Record("universal-c2-k3-pair", "c2 = (7/12) H_S H_Sd + 5 P_S + 5 P_Sd", None,
+                _universal_c2_k3_pair),
+        _Record("eta-square", "the formal class squares to 14 (sign as solved)",
+                14, lambda m: abs(m["eta^2"])),
+        _Record("eta-square-sign", "solver sign report", "14", lambda m: str(m["eta^2"])),
+        _Record("eta-square-guard",
+                "dropping eta breaks the moduli self-pairing (-20/3 instead of 12)",
+                str(Q(-20, 3)), _chi_without_eta),
+        _Record("todd-threefold", "chi(O_X) = 1 from the Todd class",
+                1, lambda m: intersect.todd(intersect.model_x()).integrate()),
+        _Record("todd-curve", "chi(O_C) = -6 from the Todd class",
+                -6, lambda m: intersect.todd(intersect.model_curve()).integrate()),
+        _Record("riemann-roch-vs-koszul", "chi(O_X(1)) agrees between routes", None,
+                lambda m: dict(expected=sections.section_hilbert(7, 1), computed=(
+                    intersect.exp_class(intersect.hyperplane(intersect.model_x()))
+                    * intersect.todd(intersect.model_x())).integrate())),
+        _Record("glueing-character", "glued kernel character matches its pieces "
+                "below the top Kunneth class", True, lambda m: _glueing_defect_below_top()),
+    ),
+    "sod": (
+        _Record("fiber-self-pairing-threefold", "chi(E1y, E1y) = 0", 0,
+                lambda m: mukai.euler(intersect.model_x(), mukai.class_e1y(), mukai.class_e1y())),
+        _Record("fiber-self-pairing-k3", "chi(E2y, E2y) = 0", 0,
+                lambda m: mukai.euler(intersect.model_s(), mukai.class_e2y(), mukai.class_e2y())),
+        _Record("gram-block-triangular", "no pairings backwards from later blocks",
+                True, lambda m: m["gram"].semiorthogonal),
+        _Record("gram-unit-diagonal", "the two exceptional classes are unit lines",
+                (True, True), lambda m: m["gram"].exceptional[:2]),
+        _Record("gram-span", "the four classes span the rank-4 even lattice", 4,
+                lambda m: mukai.matrix_rank([[cls.coefficient(l) for l in cls.model.basis]
+                                             for _, cls in m["collection"][0]])),
+        _Record("mutation", "right mutation of U through O is dual(U)", None, lambda m: dict(
+            computed=str(m["mutated"]), expected=str(mukai.class_u_plus_dual()))),
+        _Record("mutated-pair", "the mutated pair is numerically exceptional",
+                (True, (True, True)), _mutated_pair),
+        _Record("orthogonal-complement-rank", "numerical left orthogonal of (U+, O) has rank 2",
+                2, lambda m: len(m["orthogonal basis"])),
+        _Record("glued-kernel-vanishing", "glued-kernel transform kills the orthogonal complement",
+                True, lambda m: all(mukai.commdiag_check(v) for v in m["orthogonal basis"])),
+        _Record("adjunction-threefold-curve", "chi(Phi1 b, a) = chi(b, Phi1! a) on full bases",
+                True, lambda m: _adjoint("phi1", "phi1-shriek")),
+        _Record("adjunction-k3-pair", "chi(Phi2* a, b) = chi(a, Phi2 b) on full bases",
+                True, lambda m: _adjoint("phi2-left", "phi2")),
+        _Record("k3-transform-invertible", "the K3 transform is invertible on the truncated "
+                "lattice", None, _k3_transform_rank),
+    ),
+    "conics": (
+        _Record("conic-degree", "deg of the tautological bundle on a conic is -4", Q(-4),
+                lambda m: (mukai.class_u_plus().chern_classes()[0]
+                           * mukai.class_o_conic()).integrate()),
+        _Record("conic-vs-structure", "chi(O_R, O_X) = 1", 1, lambda m: mukai.euler(
+            intersect.model_x(), mukai.class_o_conic(), CohClass.unit(intersect.model_x()))),
+        _Record("conic-vs-tautological", "chi(O_R, U+) = 1", 1, lambda m: mukai.euler(
+            intersect.model_x(), mukai.class_o_conic(), mukai.class_u_plus())),
+        _Record("conic-right-transform", "the right adjoint sends a conic to a length-2 cycle",
+                None, lambda m: dict(
+                    expected=str(CohClass.basis_class(intersect.model_curve(), "pt", 2)),
+                    computed=str(mukai.transform(mukai.kernel_phi1_shriek(),
+                                                 mukai.class_o_conic())))),
+    ),
 }
 
 
 def verify_suite(name: str = "all") -> VerifyReport:
-    """Run a named verification suite (or all of them); deterministic."""
-    if name == "all":
-        checks: list[VerifyCheck] = []
-        for suite in SUITES.values():
-            checks.extend(suite())
-        return VerifyReport("all", tuple(checks))
-    if name not in SUITES:
+    """Run a named verification suite (or all of them); deterministic.  The values
+    several checks share are computed once per call."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
-    return VerifyReport(name, tuple(SUITES[name]()))
+    records = [r for suite in SUITES.values() for r in suite] if name == "all" else SUITES[name]
+    memo = _Memo()
+    return VerifyReport(name, tuple(_run_record(r, memo) for r in records))
 
 
 # ---------------------------------------------------------------------------
 # argument handling and rendering
 # ---------------------------------------------------------------------------
-
-
-def _render_table(res: sections.SectionResult) -> str:
-    return "\n".join([f"status: {res.status}", f"h: {res.table}", f"euler: {res.euler}"])
 
 
 def _reject_constant(name: str):
@@ -403,41 +415,29 @@ def _cmd_bbw(args) -> int:
 def _cmd_koszul(args) -> int:
     bundle = make_bundle(args.bundle).twist(bbw.read_twist(args.twist.strip()))
     res = sections.section_cohomology(bundle, args.codim)
-    print(json.dumps(res.to_json()) if args.format == "json" else _render_table(res))
+    print(json.dumps(res.to_json()) if args.format == "json"
+          else f"status: {res.status}\nh: {res.table}\neuler: {res.euler}")
     return 0
 
 
 def _cmd_chern(args) -> int:
-    target = args.target
-    if target == "eta2":
+    if args.target == "eta2":
         val = intersect.eta_square_solve()
-        out = {"eta_square": str(val)}
-        print(json.dumps(out) if args.format == "json" else f"eta^2 = {val}")
+        print(json.dumps({"eta_square": str(val)}) if args.format == "json" else f"eta^2 = {val}")
         return 0
-    if target == "U-plus":
+    if args.target == "U-plus":
         ch = intersect.tautological_ch(intersect.model_x())
-    elif target == "E1":
-        ch = intersect.universal_ch(intersect.x_times_curve())
-    elif target == "E2":
-        ch = intersect.universal_ch(intersect.s_times_sdual())
     else:
-        raise ValueError(f"unknown chern target {target!r}")
-    cs = ch.chern_classes()
-    payload = {
-        "model": ch.model.name,
-        "rank": ch.rank,
-        "ch": ch.to_json(),
-        "c": {str(i + 1): c.to_json() for i, c in enumerate(cs) if not c.is_zero},
-    }
+        ch = intersect.universal_ch(intersect.x_times_curve() if args.target == "E1"
+                                    else intersect.s_times_sdual())
+    cs = {i: c for i, c in enumerate(ch.chern_classes(), 1) if not c.is_zero}
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps({"model": ch.model.name, "rank": ch.rank, "ch": ch.to_json(),
+                          "c": {str(i): c.to_json() for i, c in cs.items()}}))
     else:
-        print(f"model: {ch.model.name}")
-        print(f"rank: {ch.rank}")
-        print(f"ch: {ch}")
-        for i, c in enumerate(cs):
-            if not c.is_zero:
-                print(f"c{i + 1}: {c}")
+        print(f"model: {ch.model.name}\nrank: {ch.rank}\nch: {ch}")
+        for i, c in cs.items():
+            print(f"c{i}: {c}")
     return 0
 
 
@@ -501,33 +501,29 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_bbw.add_mutually_exclusive_group(required=True)
     group.add_argument("--bundle", help='bundle expression, e.g. "dual(U)*U(-1)"')
     group.add_argument("--weight", help='weight of an irreducible bundle, e.g. "1,0,0,0,-1"')
-    p_bbw.add_argument("--format", choices=("json", "table"), default="table")
     p_bbw.set_defaults(func=_cmd_bbw)
 
     p_koszul = sub.add_parser("koszul", help="cohomology on a linear section")
     p_koszul.add_argument("--codim", type=int, required=True)
     p_koszul.add_argument("--bundle", required=True)
     p_koszul.add_argument("--twist", default="0")
-    p_koszul.add_argument("--format", choices=("json", "table"), default="table")
     p_koszul.set_defaults(func=_cmd_koszul)
 
     p_chern = sub.add_parser("chern", help="Chern data of the named bundles")
     p_chern.add_argument("--target", choices=("E1", "E2", "U-plus", "eta2"), required=True)
-    p_chern.add_argument("--format", choices=("json", "table"), default="table")
     p_chern.set_defaults(func=_cmd_chern)
 
     p_fm = sub.add_parser("fm", help="numerical integral transforms")
     p_fm.add_argument("--kernel", choices=tuple(mukai.KERNELS))
     p_fm.add_argument("--apply", help="named class (O_R, E1y, ...) or JSON coefficients")
     p_fm.add_argument("--gram", help="comma-separated collection tokens: u, o, phi1")
-    p_fm.add_argument("--format", choices=("json", "table"), default="table")
     p_fm.set_defaults(func=_cmd_fm)
 
     p_verify = sub.add_parser("verify", help="replay the reference computations")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("all",) + tuple(SUITES))
-    p_verify.add_argument("--format", choices=("json", "table"), default="table")
+    p_verify.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))
     p_verify.set_defaults(func=_cmd_verify)
+    for p in (p_bbw, p_koszul, p_chern, p_fm, p_verify):
+        p.add_argument("--format", choices=("json", "table"), default="table")
     return parser
 
 

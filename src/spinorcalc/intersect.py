@@ -745,8 +745,8 @@ def universal_ch(prod: RingModel) -> CohClass:
         ch4 = (c1^4 - 4 c1^2 c2 + 2 c2^2) / 24
 
     give ch(E) = ch(E without eta) - eta + eta^2 / 12: ch2 loses eta, ch3
-    does not change and ch4 gains 2 eta^2 / 24.  The ansatz itself does not
-    see eta, which adds exactly zero to both of its conditions.
+    does not change and ch4 gains 2 eta^2 / 24 (``_ETA_TERMS``).  The ansatz
+    itself does not see eta, which adds exactly zero to both of its conditions.
     """
     if prod.factors not in ((model_x(), model_curve()), (model_s(), model_sdual())):
         raise ValueError(f"no universal bundle on {prod.name}: "
@@ -755,7 +755,7 @@ def universal_ch(prod: RingModel) -> CohClass:
     if ETA not in prod.index:
         return ch
     eta = CohClass.basis_class(prod, ETA)
-    return ch - eta + (eta * eta)._divided(12)
+    return ch + eta.scale(_ETA_TERMS[0]) + (eta * eta).scale(_ETA_TERMS[1])
 
 
 def _codim2_class(model: RingModel) -> CohClass:
@@ -767,29 +767,29 @@ _UNIVERSAL_SELF_PAIRING = Q(12)
 # Self-pairing of the universal class over the threefold-curve product:
 # one section algebra in degree 0 and the tangent directions of the
 # genus-7 moduli curve in degree 1 give (1 - g) + (3g - 3) = 2g - 2 = 12.
+_ETA_TERMS = (Q(-1), Q(1, 12))
+# (c, c'): universal_ch adds c eta + c' eta^2 to the eta-free character, and
+# eta_square_solve reads the same two coefficients.
 
 
 @functools.lru_cache(maxsize=None)
 def eta_square_solve() -> Q:
     """Solve for eta^2 (as a multiple of the product point class).
 
-    The pairing chi(E, E) over the threefold-curve product is affine in
-    the square; imposing the moduli value 12 determines it.  Both sample
-    points (eta^2 = 0 and 1) take E on a model that carries eta, so
-    chi(E, E) sees the eta terms of ``universal_ch``: the shared eta-free
-    character plus its closed-form eta correction.  The solver fails loudly
-    when the dependence degenerates, which is the guard against dropping
-    eta from c2.
+    Write E = K + c eta + c' eta^2 with K the eta-free character and
+    (c, c') = ``_ETA_TERMS``.  Eta kills positive codimension and eta^2 = s
+    top, so over the threefold-curve product chi(E, E) = chi(K, K) +
+    s (c^2 + 2 rank c'), with chi(K, K) read once on the eta-free product.
+    Imposing the moduli value 12 determines s.  A zero slope raises, which
+    is the guard against dropping eta from c2.
     """
-    values = []
-    for e in (Q(0), Q(1)):
-        prod = x_times_curve(eta_square=e)
-        uni = universal_ch(prod)
-        values.append(chi(prod, uni, uni))
-    slope = values[1] - values[0]
+    base = _product_model(model_x(), model_curve(), None)
+    k = universal_ch(base)
+    c, c_square = _ETA_TERMS
+    slope = c * c + 2 * k.rank * c_square
     if slope == 0:
         raise ArithmeticError("pairing does not see eta^2; the eta term is missing from c2")
-    return (_UNIVERSAL_SELF_PAIRING - values[0]) / slope
+    return (_UNIVERSAL_SELF_PAIRING - chi(base, k, k)) / slope
 
 
 # ---------------------------------------------------------------------------

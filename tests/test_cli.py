@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from test_koszul_columns import bundle_exprs
 from spinorcalc.bbw import MAX_TWIST
-from spinorcalc.cli import SUITES, run, verify_suite
+from spinorcalc import cli, mukai, sections
+from spinorcalc.cli import SUITES, VerifyReport, run, verify_suite
 from spinorcalc.mukai import KERNELS, NAMED_CLASSES
 
 
@@ -228,6 +229,18 @@ class TestFMCommand:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("tokens, count", [(",".join(["phi1"] * 17), 17),
+                                               ("o," * 65536, 65537)], ids=["17", "128KB"])
+    def test_gram_token_bound_exit_1(self, capsys, tokens, count):
+        # checked before any class is built, so a long argv fails at once
+        code, out, err = invoke(capsys, "fm", "--gram", tokens)
+        assert (code, out) == (1, "")
+        assert err == f"error: a gram collection has at most 16 tokens, got {count}\n"
+
+    def test_gram_at_the_token_bound(self, capsys):
+        code, out, _ = invoke(capsys, "fm", "--gram", ",".join(["u", "o"] * 8), "--format", "json")
+        assert code == 0 and len(json.loads(out)["labels"]) == 16
+
     def test_missing_args_exit_1(self, capsys):
         assert invoke(capsys, "fm", "--kernel", "phi1")[0] == 1
 
@@ -243,6 +256,32 @@ class TestVerifyCommand:
         for name in ("bbw", "koszul", "cherns", "sod", "conics"):
             union.extend(c.name for c in verify_suite(name).checks)
         assert union == [c.name for c in verify_suite("all").checks]
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_records_run_one_at_a_time(self, suite):
+        # in order with one shared memo, and each record alone with a fresh memo
+        memo = cli._Memo()
+        in_order = tuple(cli._run_record(record, memo) for record in SUITES[suite])
+        alone = tuple(cli._run_record(record, cli._Memo()) for record in SUITES[suite])
+        assert VerifyReport(suite, in_order) == verify_suite(suite)
+        assert alone == in_order
+
+    def test_koszul_suite_calls_each_pipeline_once(self, monkeypatch, capsys):
+        calls = []
+        names = [name for name in vars(sections) if name.startswith("pipeline_")]
+        for name in names:
+            monkeypatch.setattr(sections, name, lambda fn=getattr(sections, name), name=name:
+                                calls.append(name) or fn())
+        assert run(["verify", "--suite", "koszul"]) == 0
+        assert len(names) == 5 and sorted(calls) == sorted(names)
+
+    def test_sod_suite_builds_the_collection_gram_once(self, monkeypatch, capsys):
+        labels = []
+        gram = mukai.gram
+        monkeypatch.setattr(mukai, "gram", lambda collection, *args, **kw: labels.append(
+            tuple(label for label, _ in collection)) or gram(collection, *args, **kw))
+        assert run(["verify", "--suite", "sod"]) == 0
+        assert labels.count(("U+", "O_X", "Phi1(O_C)", "Phi1(pt)")) == 1
 
     def test_named_suite_json(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "conics", "--format", "json")
@@ -268,7 +307,9 @@ OPTION_VALUES = {
                       RATIONALS | st.integers(-5, 5)).map(json.dumps)
     | JUNK,
     "--gram": st.lists(st.sampled_from(["u", "o", "phi1", " u", "x", ""]), min_size=1,
-                       max_size=4).map(",".join) | JUNK,
+                       max_size=4).map(",".join)
+    | st.lists(st.sampled_from(["u", "o", "phi1"]), min_size=17, max_size=40).map(",".join)
+    | JUNK,
     "--suite": st.sampled_from(["all", *SUITES]) | JUNK,
 }
 COMMANDS = st.sampled_from(["bbw", "koszul", "chern", "fm", "verify"]) | JUNK

@@ -251,6 +251,17 @@ class TestEta:
         eta = CohClass.basis_class(prod, ETA)
         assert eta.dual() == eta
 
+    def test_solve_raises_without_the_eta_terms(self, monkeypatch):
+        # dropping eta from c2 zeroes both eta terms of the character; the slope vanishes
+        monkeypatch.setattr(intersect, "_ETA_TERMS", (Q(0), Q(0)))
+        _clear_model_caches()
+        try:
+            with pytest.raises(ArithmeticError) as err:
+                eta_square_solve()
+        finally:
+            _clear_model_caches()
+        assert str(err.value) == "pairing does not see eta^2; the eta term is missing from c2"
+
     def test_guard_without_eta(self):
         bare = x_times_curve(eta_square=0)
         uni = universal_ch(bare)
@@ -372,8 +383,8 @@ class TestColdMaps:
 
     @pytest.mark.parametrize("model", [x_times_curve, s_times_sdual])
     def test_ansatz_solved_once_per_factor_pair(self, model, monkeypatch):
-        # x_times_curve() solves eta^2 on the eta^2 = 0 and 1 models first;
-        # all three threefold-curve models share one ansatz solve.
+        # x_times_curve() solves eta^2 on the eta-free product first;
+        # it and the solved eta model share one ansatz solve.
         calls = []
         solve = intersect._solve_linear
         monkeypatch.setattr(intersect, "_solve_linear", lambda rows: calls.append(1) or solve(rows))
@@ -383,8 +394,8 @@ class TestColdMaps:
 
 
     def test_one_kunneth_table_and_one_character(self, monkeypatch):
-        # A cold universal_ch(x_times_curve()) touches the eta^2 = 0, 1 and 14
-        # models; the factor tables are multiplied for the eta-free product only
+        # A cold universal_ch(x_times_curve()) touches the eta-free product and
+        # the eta^2 = 14 model; the factor tables are multiplied for the first only
         # (itertools.product drives that multiplication), and the character is
         # rebuilt from its Chern classes once.
         steps, rebuilt = [], []
