@@ -23,11 +23,15 @@ the dimension comes from the Weyl dimension formula for D5.
 
 ``HomogBundle(...)`` validates its summands and puts them in canonical
 order; ``twist``, ``dual`` and ``*`` keep that form by construction and skip
-the checks.  ``cohomology(b, k)`` gives H(b(k)) straight from the doubled
-weights of b shifted by k, memoized on (b.twice, k), the summands as plain
-ints: the Koszul page columns H(b(-p)), ``hilbert`` and plain
-``cohomology(b)`` (k = 0) share one table per twist, and none of them
-builds the twisted bundle.
+the checks.  Every bundle also carries its untwisted form (base, shift): the
+doubled weights less the first summand's last doubled coordinate, and that
+coordinate, so b and every twist b(j) share one base.  The memos are keyed
+on bases, as plain ints, with the twist as an offset.  ``cohomology(b, k)``
+gives H(b(k)) from the table of b's base at shift + k: the Koszul page
+columns H(b(-p)), ``hilbert``, plain ``cohomology(b)`` (k = 0) and the same
+columns of any twist of b share one table per total shift, and none of them
+builds the twisted bundle.  ``b * c`` reads the product of the two bases from
+a memo and twists it by the sum of the shifts.
 """
 
 from __future__ import annotations
@@ -126,12 +130,15 @@ class HomogBundle:
     equal weights merged, zero multiplicities dropped, none negative, and
     the summands in strictly decreasing order of doubled weight.  ``twist``,
     ``dual`` and ``*`` keep that form by construction and skip the checks.
-    ``twice`` is the same summands as (doubled weight, multiplicity) ints,
-    the key of the cohomology memo.
+    ``twice`` is the same summands as (doubled weight, multiplicity) ints.
+    ``_base`` and ``_shift`` are the untwisted form of ``twice`` (see
+    ``_untwist``), the keys of the cohomology and product memos.
     """
 
     summands: tuple[tuple[Weight, int], ...]
     twice: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
+    _base: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
+    _shift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts: Counter = Counter()
@@ -144,7 +151,14 @@ class HomogBundle:
         if any(m < 0 for _, m in clean):
             raise ValueError("negative multiplicity")
         object.__setattr__(self, "summands", clean)
-        object.__setattr__(self, "twice", tuple((w.twice, m) for w, m in clean))
+        twice = tuple((w.twice, m) for w, m in clean)
+        self._set_twice(twice, *_untwist(twice))
+
+    def _set_twice(self, twice, base, shift: int) -> None:
+        """Store ``twice`` and its untwisted form (``base``, ``shift``)."""
+        object.__setattr__(self, "twice", twice)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_shift", shift)
 
     @classmethod
     def _canonical(cls, summands: tuple[tuple[Weight, int], ...]) -> "HomogBundle":
@@ -152,7 +166,18 @@ class HomogBundle:
         weights, distinct and decreasing, with positive multiplicities."""
         b = object.__new__(cls)
         object.__setattr__(b, "summands", summands)
-        object.__setattr__(b, "twice", tuple((w.twice, m) for w, m in summands))
+        twice = tuple((w.twice, m) for w, m in summands)
+        b._set_twice(twice, *_untwist(twice))
+        return b
+
+    @classmethod
+    def _from_base(cls, base, shift: int) -> "HomogBundle":
+        """The bundle with untwisted form (``base``, ``shift``).  A uniform shift keeps
+        each weight's parity, dominance and place in the order."""
+        twice = tuple((tuple(map(shift.__add__, t)), m) for t, m in base)
+        b = object.__new__(cls)
+        object.__setattr__(b, "summands", tuple((Weight._unchecked(t), m) for t, m in twice))
+        b._set_twice(twice, base, shift)
         return b
 
     @functools.cached_property
@@ -166,21 +191,15 @@ class HomogBundle:
 
     def twist(self, k: int) -> "HomogBundle":
         """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones.
-        The shift keeps each weight's parity, dominance and place in the order."""
-        return HomogBundle._canonical(tuple((Weight._unchecked(tuple(map(k.__add__, t))), m)
-                                            for t, m in self.twice))
+        The base stays, and k is added to the shift."""
+        if not isinstance(k, int):
+            raise TypeError(f"the twist k must be an int, got {k!r}")
+        return HomogBundle._from_base(self._base, self._shift + k)
 
     def __mul__(self, other: "HomogBundle") -> "HomogBundle":
-        weights: dict[tuple[int, ...], Weight] = {}
-        counts: dict[tuple[int, ...], int] = {}
-        for w1, m1 in self.summands:
-            for w2, m2 in other.summands:
-                for w, m in tensor_decompose(w1, w2):
-                    t = w.twice
-                    weights[t] = w
-                    counts[t] = counts.get(t, 0) + m1 * m2 * m
-        return HomogBundle._canonical(tuple((weights[t], counts[t])
-                                            for t in sorted(counts, reverse=True)))
+        # b(i) * c(j) = (b * c)(i + j), with the summands in the same order
+        base, shift = _base_product(self._base, other._base)
+        return HomogBundle._from_base(base, shift + self._shift + other._shift)
 
     def __add__(self, other: "HomogBundle") -> "HomogBundle":
         return HomogBundle(self.summands + other.summands)
@@ -190,6 +209,27 @@ class HomogBundle:
 
     def __str__(self) -> str:
         return " + ".join(f"{m}*({w})" if m != 1 else f"({w})" for w, m in self.summands)
+
+
+def _untwist(twice: tuple) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """(base, shift) of the canonical (doubled weight, multiplicity) pairs ``twice``:
+    ``shift`` is the first summand's last doubled coordinate, 0 when there is none, and
+    ``base`` the doubled weights less ``shift`` in every coordinate."""
+    shift = twice[0][0][-1] if twice else 0
+    return tuple((tuple(d - shift for d in t), m) for t, m in twice), shift
+
+
+@functools.lru_cache(maxsize=None)
+def _base_product(base1: tuple, base2: tuple) -> tuple[tuple, int]:
+    """(base, shift) of the product of the bundles with bases ``base1`` and ``base2`` and
+    shift 0, by the Littlewood-Richardson rule summand by summand."""
+    counts: dict[tuple[int, ...], int] = {}
+    for t1, m1 in base1:
+        w1 = Weight._unchecked(t1)
+        for t2, m2 in base2:
+            for w, m in tensor_decompose(w1, Weight._unchecked(t2)):
+                counts[w.twice] = counts.get(w.twice, 0) + m1 * m2 * m
+    return _untwist(tuple(sorted(counts.items(), reverse=True)))
 
 
 def O(k: int = 0) -> HomogBundle:
@@ -355,14 +395,14 @@ def _irreducible_cohomology(twice: tuple[int, ...]) -> Optional[tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=None)
-def _twisted_table(twice: tuple[tuple[tuple[int, ...], int], ...], k: int) -> CohomologyTable:
-    """H(b(k)) for the bundle b with ``b.twice == twice``.
+def _twisted_table(base: tuple[tuple[tuple[int, ...], int], ...], k: int) -> CohomologyTable:
+    """H(b(k)) for the bundle b with untwisted form (``base``, 0).
 
     Twisting adds k to every doubled coordinate; a GL5-dominant weight stays
     dominant, so no twisted bundle is built except to name it in an error.
     """
     dims: dict[int, int] = {}
-    for t, m in twice:
+    for t, m in base:
         hit = _irreducible_cohomology(tuple(map(k.__add__, t)))
         if hit is not None:
             degree, dim = hit
@@ -370,14 +410,16 @@ def _twisted_table(twice: tuple[tuple[tuple[int, ...], int], ...], k: int) -> Co
     # degrees count roots, so they are >= 0, and m and the Weyl dimensions are > 0
     entries = tuple(sorted(dims.items()))
     if entries and entries[-1][0] > DIM:
-        b = HomogBundle(tuple((Weight._from_twice(t), m) for t, m in twice))
-        raise ArithmeticError(f"cohomological degree above {DIM} for {b.twist(k)}")
+        raise ArithmeticError(
+            f"cohomological degree above {DIM} for {HomogBundle._from_base(base, k)}")
     return CohomologyTable._canonical(entries)
 
 
 def cohomology(b: HomogBundle, k: int = 0) -> CohomologyTable:
     """Sheaf cohomology of the twist b(k) on the tenfold, summand by summand."""
-    return _twisted_table(b.twice, k)
+    if not isinstance(k, int):
+        raise TypeError(f"the twist k must be an int, got {k!r}")
+    return _twisted_table(b._base, b._shift + k)
 
 
 def hilbert(b: HomogBundle, k: int) -> int:

@@ -5,11 +5,12 @@ A codimension-c linear section carries the exterior-algebra resolution of
 its structure sheaf, so hypercohomology of a restricted bundle b is read
 off a first page with entries H^q(tenfold, b(-p)) repeated binomial(c, p)
 times.  The columns H(b(-p)) are read once per bundle, each through one
-``cohomology(b, -p)`` call, into a memo keyed on ``b.twice`` that a deeper
+``cohomology(b, -p)`` call, into a record keyed on ``b.twice`` that a deeper
 codimension extends; each codimension folds its per-degree totals straight
 from those columns, weighting each cell by binomial(c, p), without building
-the page.  With E_d the page total in degree d = q - p and y_d the rank of
-the differentials from degree d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0
+the page, and the same record keeps the result of each codimension.  With
+E_d the page total in degree d = q - p and y_d the rank of the
+differentials from degree d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0
 unless a cell of degree d has a larger p than one of degree d + 1, and
 h^d = 0 outside the degrees 0..dim of the section.  ``_chain`` bounds the
 y_d: the table is ``exact`` when every h^d is pinned, else ``euler_only``
@@ -110,21 +111,20 @@ Cell = tuple[int, int, int]   # (p, d = q - p, n): one nonzero entry of the colu
 
 @functools.lru_cache(maxsize=None)
 def _column_memo(twice: tuple) -> list:
-    """[number of columns read, their cells in order of p, then q] for the bundle b with
-    ``b.twice == twice``.  ``_cells`` stores a new pair rather than extending the stored
-    list, so the count and the cells always agree."""
-    return [0, []]
+    """[number of columns read, their cells in order of p, then q, {codim: SectionResult}]
+    for the bundle b with ``b.twice == twice``.  ``_cells`` stores a new pair rather than
+    extending the stored list, so the count and the cells always agree."""
+    return [0, [], {}]
 
 
-def _cells(b: HomogBundle, codim: int) -> list[Cell]:
-    """The cells of b's columns p = 0..codim, and maybe more; each column is read once,
-    by one ``cohomology(b, -p)`` call."""
-    memo = _column_memo(b.twice)
-    read, cells = memo
+def _cells(b: HomogBundle, codim: int, memo: list) -> list[Cell]:
+    """The cells of b's columns p = 0..codim, and maybe more, from b's record ``memo``;
+    each column is read once, by one ``cohomology(b, -p)`` call."""
+    read, cells, _ = memo
     if read <= codim:
         cells = cells + [(p, q - p, n) for p in range(read, codim + 1)
                          for q, n in cohomology(b, -p).entries]
-        memo[:] = codim + 1, cells
+        memo[:2] = codim + 1, cells
     return cells
 
 
@@ -138,15 +138,22 @@ def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
     """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
-    return _page(_cells(b, codim), _BINOMIALS[codim])
+    return _page(_cells(b, codim, _column_memo(b.twice)), _BINOMIALS[codim])
 
 
 def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
-    """Cohomology of b restricted to a generic codimension-``codim`` section."""
+    """Cohomology of b restricted to a generic codimension-``codim`` section, kept in
+    b's record; a call that raises keeps nothing."""
     b = make_bundle(b)
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
-    return _section_result(b, codim, _cells(b, codim), _BINOMIALS[codim])
+    weights = _BINOMIALS[codim]   # before the lookup, so a codim that is not an int raises
+    memo = _column_memo(b.twice)
+    results = memo[2]
+    res = results.get(codim)
+    if res is None:
+        res = results[codim] = _section_result(b, codim, _cells(b, codim, memo), weights)
+    return res
 
 
 def _section_result(b: HomogBundle, codim: int, cells: Sequence[Cell],

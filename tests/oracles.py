@@ -2,18 +2,19 @@
 
 Deliberately different algorithms from the implementation: the Weyl group
 is enumerated element by element, weight multiplicities come from
-Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula.  The
-cohomology rings are recomputed as truncated polynomial rings in the
-hyperplane variables, from the relations stated in the intersect module
-docstring, with no structure-constant tables.  Section tables and splices
-are found by enumerating every rank of every differential or map, with no
-interval propagation.  Chern characters of bundle expressions are built in
-the ring from their parse trees, for Riemann-Roch against the Koszul side.
-Kernels of rational matrices come from Gauss-Jordan elimination in
-Fractions, against the integer elimination of the library.  Euler pairings
-and integral transforms are also computed by their defining full ring
-products, against the per-model pairing form and the per-kernel transform
-rows of the library.
+Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula;
+bundle products are formed summand by summand, against the product memo
+on untwisted bases.  The cohomology rings are recomputed as truncated
+polynomial rings in the hyperplane variables, from the relations stated in
+the intersect module docstring, with no structure-constant tables.
+Section tables and splices are found by enumerating every rank of every
+differential or map, with no interval propagation.  Chern characters of
+bundle expressions are built in the ring from their parse trees, for
+Riemann-Roch against the Koszul side.  Kernels of rational matrices come
+from Gauss-Jordan elimination in Fractions, against the integer
+elimination of the library.  Euler pairings and integral transforms are
+also computed by their defining full ring products, against the per-model
+pairing form and the per-kernel transform rows of the library.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from spinorcalc.intersect import (
     tautological_ch,
     todd,
 )
-from spinorcalc.rootdata import RANK, RHO, Weight
+from spinorcalc.rootdata import RANK, RHO, Weight, tensor_decompose
 
 Q = Fraction
 
@@ -169,6 +170,21 @@ def klimyk_tensor(lam: Weight, mu: Weight) -> dict[Weight, int]:
         target = Weight(tuple(Q(x, 2) - r for x, r in zip(v2sorted, RHO))).shifted(b)
         result[target] = m
     return result
+
+
+def tensor_oracle(b, c) -> tuple[tuple[Weight, int], ...]:
+    """The summands of the product of the bundles ``b`` and ``c`` (``bbw.HomogBundle``),
+    decomposed summand by summand through ``tensor_decompose`` and merged, in decreasing
+    order of doubled weight: the product without the memo on untwisted bases."""
+    weights: dict[tuple[int, ...], Weight] = {}
+    counts: dict[tuple[int, ...], int] = {}
+    for w1, m1 in b.summands:
+        for w2, m2 in c.summands:
+            for w, m in tensor_decompose(w1, w2):
+                t = w.twice
+                weights[t] = w
+                counts[t] = counts.get(t, 0) + m1 * m2 * m
+    return tuple((weights[t], counts[t]) for t in sorted(counts, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@ against the rebuilt twisted bundles, and a guard that a section table of a
 built bundle builds no further bundle.  The columns are read once per bundle
 whatever order the codims come in.  Also: ``twist``, ``dual`` and ``*``
 return canonical bundles without running the validating constructor, and the
-column memo is keyed on ints."""
+column memo is keyed on ints.  The bbw memos are keyed on the untwisted
+bundle, so a twist family shares its tables and its products, and the section
+results are kept per bundle and codim; emptying every memo that a cold
+benchmark round empties makes the next sweep read every column again."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import tensor_oracle
 from spinorcalc import bbw, sections
 from spinorcalc.bbw import CohomologyTable, HomogBundle, cohomology, hilbert, make_bundle
 from spinorcalc.rootdata import Weight
@@ -146,3 +151,79 @@ def test_degree_above_dim_names_the_twisted_bundle(monkeypatch):
     with pytest.raises(ArithmeticError) as info:
         cohomology(b, 2)
     assert str(info.value) == "cohomological degree above 10 for (2,1,1,1,0) + (1,1,1,1,1)"
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_exprs(), st.integers(-9, 9))
+def test_a_twist_family_shares_one_table_per_shift(expr, j):
+    b = make_bundle(expr)
+    bbw._twisted_table.cache_clear()
+    for k in range(-9, 10):
+        assert cohomology(b.twist(j), k) is cohomology(b, j + k)
+    assert bbw._twisted_table.cache_info().currsize == 19   # one entry per shift j + k
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_exprs(), bundle_exprs(atoms=2, nesting=1), st.integers(-9, 9), st.integers(-9, 9))
+def test_a_product_of_twists_is_the_twisted_product(expr, other, i, j):
+    b, c = make_bundle(expr), make_bundle(other)
+    twisted, product = b.twist(i) * c.twist(j), (b * c).twist(i + j)
+    assert twisted.summands == product.summands
+    assert twisted.twice == product.twice
+    assert twisted.summands == tensor_oracle(b.twist(i), c.twist(j))
+    assert (b * c).summands == tensor_oracle(b, c)
+
+
+@pytest.mark.parametrize("k", [Fraction(1, 2), 1.0])
+def test_a_twist_that_is_not_an_int_raises(k):
+    b = make_bundle("U")
+    with pytest.raises(TypeError) as twist_info:
+        b.twist(k)
+    with pytest.raises(TypeError) as cohomology_info:
+        cohomology(b, k)
+    for info in (twist_info, cohomology_info):
+        assert str(info.value) == f"the twist k must be an int, got {k!r}"
+
+
+def test_equal_bundles_share_their_section_results():
+    b, c = make_bundle("dual(U)(1)*U"), make_bundle("U(1)*dual(U)")
+    assert b == c and b is not c
+    for codim in range(1, 10):
+        assert section_cohomology(b, codim) is section_cohomology(c, codim)
+    assert section_cohomology("U*dual(U)(1)", 7) is section_cohomology(b, 7)
+
+
+def test_a_raising_section_call_keeps_no_result(monkeypatch):
+    b = make_bundle("dual(U)*U(1)")
+    sections._column_memo.cache_clear()
+
+    def failing(*args):
+        raise ArithmeticError("no result")
+
+    monkeypatch.setattr(sections, "_section_result", failing)
+    for codim in (*range(1, 10), 7):
+        with pytest.raises(ArithmeticError):
+            section_cohomology(b, codim)
+    assert sections._column_memo(b.twice)[2] == {}
+
+
+def test_clearing_the_memos_reads_every_column_again(monkeypatch):
+    b = make_bundle("dual(U)*U(1)")
+    for codim in (6, 7, 8, 9):
+        section_cohomology(b, codim)
+    # the memos a cold benchmark round empties: every callable with cache_clear
+    for module in (bbw, sections):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    twists = []
+
+    def counting(bundle, k=0):
+        twists.append(k)
+        return cohomology(bundle, k)
+
+    monkeypatch.setattr(sections, "cohomology", counting)
+    for codim in (6, 7, 8, 9):
+        section_cohomology(b, codim)
+    assert twists == [-p for p in range(10)]
+    assert bbw._twisted_table.cache_info().misses == 10
