@@ -96,36 +96,29 @@ def _status(res: sections.SectionResult, degree: Optional[int] = None) -> str:
     return f"{res.status}:{res.table if degree is None else res.table.dim(degree)}"
 
 
-def _hyperplanes(prod: intersect.RingModel) -> tuple[CohClass, CohClass]:
-    """The hyperplane classes of the two factors, lifted to the product model."""
-    left, right = prod.factors
-    return (intersect.lift_left(prod, intersect.hyperplane(left)),
-            intersect.lift_right(prod, intersect.hyperplane(right)))
-
-
 def _adjoint(left: str, right: str) -> bool:
     """chi(L x, y) = chi(x, R y) on full bases, for the kernels named ``left`` (L)
     and ``right`` (R), L left adjoint to R."""
     lx, ry = ([(x, mukai.transform(k, x))
                for x in (CohClass.basis_class(k.source, label) for label in k.source.basis)]
               for k in (mukai.KERNELS[name]() for name in (left, right)))
-    return all(mukai.euler(y.model, image_x, y) == mukai.euler(x.model, x, image_y)
+    return all(intersect.chi(y.model, image_x, y) == intersect.chi(x.model, x, image_y)
                for x, image_x in lx for y, image_y in ry)
 
 
 def _tautological_chi(m: _Memo) -> str:
     X = intersect.model_x()
     taut = intersect.tautological_ch(X)
-    chi_taut = mukai.euler(X, CohClass.unit(X), taut)
-    chi_taut_dual = mukai.euler(X, CohClass.unit(X),
-                                taut.dual().twisted(-1 * intersect.hyperplane(X)))
+    chi_taut = intersect.chi(X, CohClass.unit(X), taut)
+    chi_taut_dual = intersect.chi(X, CohClass.unit(X),
+                                  taut.dual().twisted(-1 * intersect.hyperplane(X)))
     return f"{chi_taut}, {chi_taut_dual}"
 
 
 def _stated_c1_c2_threefold_curve() -> tuple[CohClass, CohClass]:
     """c1 = H_X + H_C and c2 = (7/12) H_X H_C + 5 L + eta on the threefold-curve product."""
     prod = intersect.x_times_curve()
-    (hx, hc), X = _hyperplanes(prod), prod.factors[0]
+    (hx, hc), X = intersect._factor_hyperplanes(prod), prod.factors[0]
     return hx + hc, ((hx * hc).scale(Q(7, 12)) + CohClass.basis_class(prod, intersect.ETA)
                      + intersect.lift_left(prod, CohClass.basis_class(X, "L", 5)))
 
@@ -133,7 +126,7 @@ def _stated_c1_c2_threefold_curve() -> tuple[CohClass, CohClass]:
 def _universal_c2_k3_pair(m: _Memo) -> dict:
     prod = intersect.s_times_sdual()
     c2 = intersect.universal_ch(prod).chern_classes()[1]
-    (hs, hsd), (S, Sd) = _hyperplanes(prod), prod.factors
+    (hs, hsd), (S, Sd) = intersect._factor_hyperplanes(prod), prod.factors
     return dict(computed=str(c2), expected=str(
         (hs * hsd).scale(Q(7, 12)) + intersect.lift_left(prod, CohClass.basis_class(S, "P", 5))
         + intersect.lift_right(prod, CohClass.basis_class(Sd, "P", 5))))
@@ -152,7 +145,7 @@ def _glueing_defect_below_top() -> bool:
     (X, Sd), S = XxS.factors, SxS.factors[0]
 
     e1 = intersect.universal_ch(XxC)
-    hx, hc = _hyperplanes(XxC)
+    hx, hc = intersect._factor_hyperplanes(XxC)
     w1 = e1 * intersect.exp_class(-1 * hx) \
         * (CohClass.unit(XxC) - hc.scale(Q(1, 2)))  # normal-bundle Todd inverse
     push1 = intersect.geom_map("mu1").push(w1)
@@ -318,9 +311,9 @@ SUITES: dict[str, tuple[_Record, ...]] = {
     ),
     "sod": (
         _Record("fiber-self-pairing-threefold", "chi(E1y, E1y) = 0", 0,
-                lambda m: mukai.euler(intersect.model_x(), mukai.class_e1y(), mukai.class_e1y())),
+                lambda m: intersect.chi(intersect.model_x(), mukai.class_e1y(), mukai.class_e1y())),
         _Record("fiber-self-pairing-k3", "chi(E2y, E2y) = 0", 0,
-                lambda m: mukai.euler(intersect.model_s(), mukai.class_e2y(), mukai.class_e2y())),
+                lambda m: intersect.chi(intersect.model_s(), mukai.class_e2y(), mukai.class_e2y())),
         _Record("gram-block-triangular", "no pairings backwards from later blocks",
                 True, lambda m: m["gram"].semiorthogonal),
         _Record("gram-unit-diagonal", "the two exceptional classes are unit lines",
@@ -347,9 +340,9 @@ SUITES: dict[str, tuple[_Record, ...]] = {
         _Record("conic-degree", "deg of the tautological bundle on a conic is -4", Q(-4),
                 lambda m: (mukai.class_u_plus().chern_classes()[0]
                            * mukai.class_o_conic()).integrate()),
-        _Record("conic-vs-structure", "chi(O_R, O_X) = 1", 1, lambda m: mukai.euler(
+        _Record("conic-vs-structure", "chi(O_R, O_X) = 1", 1, lambda m: intersect.chi(
             intersect.model_x(), mukai.class_o_conic(), CohClass.unit(intersect.model_x()))),
-        _Record("conic-vs-tautological", "chi(O_R, U+) = 1", 1, lambda m: mukai.euler(
+        _Record("conic-vs-tautological", "chi(O_R, U+) = 1", 1, lambda m: intersect.chi(
             intersect.model_x(), mukai.class_o_conic(), mukai.class_u_plus())),
         _Record("conic-right-transform", "the right adjoint sends a conic to a length-2 cycle",
                 None, lambda m: dict(

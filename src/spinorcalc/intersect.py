@@ -20,21 +20,21 @@ Representation.  A model numbers its basis (``index``: label -> position;
 structure-constant table over one positive denominator ``den``:
 ``table[i * n + j]`` lists the (k, c) with e_i e_j = sum (c / den) e_k.  The
 Kunneth class (a, b) sits at ``a * n_right + b`` and ``eta`` after them, so
-product tables, lifts, fiber integrals and the maps between models are index
-arithmetic.  A factor model is generated by its hyperplane class H: basis
-class i is a fixed rational multiple of H^i, and the model carries H and its
-Todd class as data.  Its grade-2 basis class (L on the threefold, P on a K3;
-the curve has none) is its codimension-2 class.  A class holds integer
-numerators over one positive denominator, not necessarily in lowest terms:
-the common factor is divided out only where the denominator is multiplied
-(a ring product, a scaling by a non-integral rational, a division by an
-int), and equality cross-multiplies.  Every ring operation runs on these ints;
-Fractions appear only at the edges (``coeffs``, ``coefficient``,
-``integrate``, the JSON round trip and ``repr``, which all read the reduced
-value) and in the results of the linear solves, which eliminate on ints.  A
-class is also the one type for Chern data: its ``rank`` is the integral
-degree-zero coefficient, and ``chern_classes`` and ``from_chern`` convert
-through Newton's identities.
+product tables and the maps between models are index arithmetic: a lift and a
+fiber integral are the pull and push of a memoized projection
+(``_projection``).  A factor model is generated by its hyperplane class H:
+basis class i is a fixed rational multiple of H^i, and the model carries H and
+its Todd class as data.  Its grade-2 basis class (L on the threefold, P on a
+K3; the curve has none) is its codimension-2 class.  A class holds integer
+numerators over one positive denominator, not necessarily in lowest terms: the
+common factor is divided out only where the denominator is multiplied (a ring
+product, a scaling by a non-integral rational, a division by an int), and
+equality cross-multiplies.  Every ring operation runs on these ints; Fractions
+appear only at the edges (``coeffs``, ``coefficient``, ``integrate``, the JSON
+round trip and ``repr``, which all read the reduced value) and in the results
+of the linear solves, which eliminate on ints.  A class is also the one type
+for Chern data: its ``rank`` is the integral degree-zero coefficient, and
+``chern_classes`` and ``from_chern`` convert through Newton's identities.
 
 Only even polarized classes get basis elements; integrality is never
 asserted beyond what the underlying geometry forces, so coefficients stay
@@ -464,8 +464,8 @@ def todd(model: RingModel) -> CohClass:
     return CohClass._make(model, *model.todd)
 
 
-# -- product helpers: slices of the numerators (both factor units sit at index 0,
-# and eta, past the Kunneth block, never enters a slice) ----------------------
+# -- product helpers: the slot layout of the Kunneth block (both factor units sit
+# at index 0, and eta, past the Kunneth block, never enters a slot) ------------
 
 
 def _slots(prod: RingModel, side: str, at: int) -> slice:
@@ -474,38 +474,36 @@ def _slots(prod: RingModel, side: str, at: int) -> slice:
     return slice(at, nl * nr, nr) if side == "left" else slice(at * nr, at * nr + nr)
 
 
-def _lift(prod: RingModel, a: CohClass, side: str) -> CohClass:
-    if a.model is not prod.factors[side == "right"]:
-        raise ValueError(f"class does not live on the {side} factor")
-    num = [0] * len(prod.basis)
-    num[_slots(prod, side, 0)] = a.num
-    return CohClass._make(prod, tuple(num), a.den)
-
-
 def lift_left(prod: RingModel, a: CohClass) -> CohClass:
     """Pullback along the projection to the left factor."""
-    return _lift(prod, a, "left")
+    return _projection(prod, "left").pull(a)
 
 
 def lift_right(prod: RingModel, b: CohClass) -> CohClass:
-    return _lift(prod, b, "right")
+    return _projection(prod, "right").pull(b)
 
 
 def integrate_left_fiber(prod: RingModel, a: CohClass) -> CohClass:
     """Pushforward along the projection to the right factor."""
-    left, right = prod.factors
-    return CohClass._make(right, a.num[_slots(prod, "right", left.top_index)], a.den)
+    return _projection(prod, "right").push(a)
 
 
 def integrate_right_fiber(prod: RingModel, a: CohClass) -> CohClass:
     """Pushforward along the projection to the left factor."""
-    left, right = prod.factors
-    return CohClass._make(left, a.num[_slots(prod, "left", right.top_index)], a.den)
+    return _projection(prod, "left").push(a)
 
 
 def restrict_to_left_fiber(prod: RingModel, a: CohClass) -> CohClass:
     """Restrict to (left factor) x (point): keep the classes with trivial right part."""
+    if a.model is not prod:
+        raise ValueError(f"restrict to the left fiber: class not on {prod.name}")
     return CohClass._make(prod.factors[0], a.num[_slots(prod, "left", 0)], a.den)
+
+
+def _factor_hyperplanes(prod: RingModel) -> tuple[CohClass, CohClass]:
+    """The hyperplane classes of the two factors, lifted to the product model."""
+    left, right = prod.factors
+    return lift_left(prod, hyperplane(left)), lift_right(prod, hyperplane(right))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +557,9 @@ def chi(model: RingModel, a: CohClass, b: CohClass) -> Q:
     """The pairing integral ch(a)^dual * ch(b) * td over the model, read from
     its Euler form (``_pairing``)."""
     a._check(b)
-    rows, den = _pairing(model)
     if a.model is not model:
         raise ValueError(f"model mismatch: {a.model.name} vs {model.name}")
+    rows, den = _pairing(model)
     right = b.num
     total = 0
     for x, row in zip(a.num, rows):
@@ -695,7 +693,8 @@ def _universal_ansatz(left: RingModel, right: RingModel) -> CohClass:
     ch1 = diff.component(1)._divided(2)
     ch3 = diff.component(3)._divided(2)
 
-    cross = lift_left(prod, hyperplane(left)) * lift_right(prod, hyperplane(right))
+    h_left, h_right = _factor_hyperplanes(prod)
+    cross = h_left * h_right
     fiber_term = CohClass.zero(prod)
     for lift, factor in ((lift_left, left), (lift_right, right)):
         if 2 in factor.grades:
@@ -838,14 +837,6 @@ def _matrix(source: RingModel, target: RingModel, images: dict[str, dict[str, in
                  for l in source.basis), 1
 
 
-def _matrix_of(fn: Callable[[CohClass], CohClass], source: RingModel) -> Matrix:
-    """The matrix of a linear map on classes, read off the images of the basis classes."""
-    images = [fn(CohClass.basis_class(source, l)) for l in source.basis]
-    den = lcm(*(img.den for img in images))
-    return tuple(tuple((k, a * (den // img.den)) for k, a in enumerate(img.num) if a)
-                 for img in images), den
-
-
 def _kron(a: Matrix, b: Matrix, source: RingModel, target: RingModel) -> Matrix:
     """Factor matrices tensored between product models; eta dies under every push or pull."""
     nr = len(target.factors[1].basis)
@@ -870,12 +861,20 @@ def _identity_map(model: RingModel) -> GeomMap:
     return GeomMap("id", model, model, eye, eye)
 
 
-def _projection(name: str, prod: RingModel, keep: Literal["left", "right"]) -> GeomMap:
-    """Projection to a factor: fiber integration pushes, the lift pulls."""
-    factor, fiber, lift = ((prod.factors[0], integrate_right_fiber, lift_left) if keep == "left"
-                           else (prod.factors[1], integrate_left_fiber, lift_right))
-    return GeomMap(name, prod, factor, _matrix_of(lambda a: fiber(prod, a), prod),
-                   _matrix_of(lambda a: lift(prod, a), factor))
+@functools.lru_cache(maxsize=None)
+def _projection(prod: RingModel, keep: Literal["left", "right"]) -> GeomMap:
+    """The projection of a product to its ``keep`` factor, read off the slot
+    layout: the lift pulls e_i to the slot (i, unit), and fiber integration
+    pushes the slot (i, fiber top) to e_i and every other class, eta
+    included, to 0.  Named ``p:<product>`` (left) or ``q:<product>``."""
+    factor, fiber = prod.factors if keep == "left" else prod.factors[::-1]
+    slots = range(len(prod.basis))
+    push: list[Row] = [()] * len(prod.basis)
+    for i, k in enumerate(slots[_slots(prod, keep, fiber.top_index)]):
+        push[k] = ((i, 1),)
+    pull = tuple([((k, 1),) for k in slots[_slots(prod, keep, 0)]])
+    return GeomMap(f"{'p' if keep == 'left' else 'q'}:{prod.name}", prod, factor,
+                   (tuple(push), 1), (pull, 1))
 
 
 # The product models by name.  Only x_times_curve solves eta^2, so a map that
@@ -925,6 +924,6 @@ def geom_map(name: str) -> GeomMap:
                            geom_map(right) if right else None)
     if name in _PROJECTIONS:
         prod, keep = _PROJECTIONS[name]
-        return _projection(name, _PRODUCTS[prod](), keep)
+        return _projection(_PRODUCTS[prod](), keep)
     known = sorted(["alpha", "beta", *_TENSOR_MAPS, *_PROJECTIONS])
     raise ValueError(f"unknown map {name!r}; known: {known}")

@@ -1,19 +1,18 @@
-"""Euler pairings, numerical integral transforms, semiorthogonality
-reports, class-level mutations, and the conic computations.
+"""Numerical integral transforms, semiorthogonality reports, class-level
+mutations, and the conic computations.
 
-Everything works on Chern characters (CohClass) over the ring models.  The
-pairing is chi(a, b) = integral of ch(a)^dual ch(b) td.  A kernel on a
-product induces the transform
+Everything works on Chern characters (CohClass) over the ring models; the
+pairing is ``intersect.chi``.  A kernel on a product induces the transform
 
     a  |->  parity * push( pull(ch(a) * td(source)) * ch(kernel) ),
 
 with the Todd class of the source riding along the pullback; shifts enter
 only through the parity sign.  Each kernel holds that map as integer rows,
 the images of the source basis classes, read once from the product's
-structure table; a transform applies them to the class.  The convention is
-pinned by the adjunction identities chi(transform(b), a) =
-chi(b, adjoint_transform(a)), which the test suite checks over full bases,
-not by a literature choice.
+structure table at the lift and fiber-top slots of ``intersect._projection``;
+a transform applies them to the class.  The convention is pinned by the
+adjunction identities chi(transform(b), a) = chi(b, adjoint_transform(a)),
+which the test suite checks over full bases, not by a literature choice.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from .intersect import (
     Matrix,
     RingModel,
     _apply,
+    _factor_hyperplanes,
     _kernel_basis,
-    _slots,
+    _projection,
     chi,
     exp_class,
     hyperplane,
@@ -51,13 +51,6 @@ from .intersect import (
 )
 
 Q = Fraction
-
-
-def euler(model: RingModel, a: CohClass, b: CohClass) -> Q:
-    """Euler pairing chi(a, b) on the model."""
-    if a.model is not model or b.model is not model:
-        raise ValueError("classes do not live on the stated model")
-    return chi(model, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +87,12 @@ class KernelSpec:
     def _transform_rows(self) -> Matrix:
         """The images of the source basis classes, read from the product's structure table."""
         prod, kernel, src, td = self.product, self.kernel_ch.num, self.source, todd(self.source)
-        n = len(prod.basis)
-        fibre = "right" if self.source_side == "left" else "left"
-        # the slot of each lifted source basis class, the target index of each fibre-top slot
-        lifts = range(n)[_slots(prod, self.source_side, 0)]
-        target = {k: t for t, k in enumerate(range(n)[_slots(prod, fibre, src.top_index)])}
+        target_side = "right" if self.source_side == "left" else "left"
+        # the slot of each lifted source basis class (the lift's unit rows), and the
+        # target index of each source-fibre-top slot (the fibre integral's unit rows)
+        lifts = [k for row in _projection(prod, self.source_side).pullback[0] for k, _ in row]
+        target = {k: t for k, row in enumerate(_projection(prod, target_side).pushforward[0])
+                  for t, _ in row}
         width = len(target)
         # images[m]: the fibre-top slots of lift(e_m) * kernel_ch, over kernel_ch.den * prod.den
         images = []
@@ -139,10 +133,8 @@ def transform(K: KernelSpec, a: CohClass) -> CohClass:
 
 
 def _twist_exp(prod: RingModel, left_mult: int, right_mult: int) -> CohClass:
-    left, right = prod.factors
-    line = lift_left(prod, hyperplane(left)).scale(left_mult) \
-        + lift_right(prod, hyperplane(right)).scale(right_mult)
-    return exp_class(line)
+    h_left, h_right = _factor_hyperplanes(prod)
+    return exp_class(h_left.scale(left_mult) + h_right.scale(right_mult))
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,7 +317,7 @@ def gram(collection: Sequence[tuple[str, CohClass]], model: RingModel,
     """Full Euler-pairing matrix with numerical SOD verdicts."""
     labels = tuple(label for label, _ in collection)
     classes = [cls for _, cls in collection]
-    matrix = tuple(tuple(euler(model, a, b) for b in classes) for a in classes)
+    matrix = tuple(tuple(chi(model, a, b) for b in classes) for a in classes)
     sizes = tuple(blocks) if blocks is not None else tuple(1 for _ in classes)
     if any(s < 1 for s in sizes):
         raise ValueError("block sizes must be positive")
@@ -349,9 +341,9 @@ def mutate(a: CohClass, through: CohClass, model: RingModel,
     mutating through an orthogonal object returns the class up to sign.
     """
     if direction == "right":
-        c = euler(model, a, through)
+        c = chi(model, a, through)
     elif direction == "left":
-        c = euler(model, through, a)
+        c = chi(model, through, a)
     else:
         raise ValueError("direction must be left or right")
     out = through.scale(c) - a
@@ -373,8 +365,8 @@ def commdiag_check(a: CohClass) -> bool:
     that the glued transform itself vanishes identically.
     """
     m = model_x()
-    chi_u = euler(m, a, class_u_plus())
-    chi_o = euler(m, a, CohClass.unit(m))
+    chi_u = chi(m, a, class_u_plus())
+    chi_o = chi(m, a, CohClass.unit(m))
     if chi_u != 0 or chi_o != 0:
         raise OrthogonalityError(
             f"class pairs to chi(a,U)={chi_u}, chi(a,O)={chi_o}; both must vanish")

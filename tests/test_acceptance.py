@@ -99,8 +99,8 @@ def test_criterion_07_eta_square():
 
 def test_criterion_08_fiber_self_pairings():
     X, S = intersect.model_x(), intersect.model_s()
-    assert mukai.euler(X, mukai.class_e1y(), mukai.class_e1y()) == 0
-    assert mukai.euler(S, mukai.class_e2y(), mukai.class_e2y()) == 0
+    assert intersect.chi(X, mukai.class_e1y(), mukai.class_e1y()) == 0
+    assert intersect.chi(S, mukai.class_e2y(), mukai.class_e2y()) == 0
     _report("criterion 8", "chi_X(E1y,E1y) = 0 and chi_S(E2y,E2y) = 0")
 
 
@@ -134,8 +134,8 @@ def test_criterion_11_conics():
     conic = mukai.class_o_conic()
     c1 = mukai.class_u_plus().chern_classes()[0]
     assert (c1 * conic).integrate() == -4
-    assert mukai.euler(X, conic, CohClass.unit(X)) == 1
-    assert mukai.euler(X, conic, mukai.class_u_plus()) == 1
+    assert intersect.chi(X, conic, CohClass.unit(X)) == 1
+    assert intersect.chi(X, conic, mukai.class_u_plus()) == 1
     out = mukai.transform(mukai.kernel_phi1_shriek(), conic)
     assert out == CohClass.basis_class(intersect.model_curve(), "pt", 2)
     _report("criterion 11", "deg(U|R) = -4; chi(O_R,O) = chi(O_R,U) = 1; transform = 2 pt")
@@ -184,17 +184,17 @@ def test_criterion_12c_adjunction():
         b = CohClass.basis_class(C, lb)
         for la in X.basis:
             a = CohClass.basis_class(X, la)
-            assert mukai.euler(X, mukai.transform(phi1, b), a) \
-                == mukai.euler(C, b, mukai.transform(shriek, a))
-            assert mukai.euler(C, mukai.transform(left1, a), b) \
-                == mukai.euler(X, a, mukai.transform(phi1, b))
+            assert intersect.chi(X, mukai.transform(phi1, b), a) \
+                == intersect.chi(C, b, mukai.transform(shriek, a))
+            assert intersect.chi(C, mukai.transform(left1, a), b) \
+                == intersect.chi(X, a, mukai.transform(phi1, b))
     phi2, left2 = mukai.kernel_phi2(), mukai.kernel_phi2_left()
     for la in S.basis:
         a = CohClass.basis_class(S, la)
         for lb in Sd.basis:
             b = CohClass.basis_class(Sd, lb)
-            assert mukai.euler(Sd, mukai.transform(left2, a), b) \
-                == mukai.euler(S, a, mukai.transform(phi2, b))
+            assert intersect.chi(Sd, mukai.transform(left2, a), b) \
+                == intersect.chi(S, a, mukai.transform(phi2, b))
     _report("criterion 12c", "adjunction identities exact over full bases")
 
 

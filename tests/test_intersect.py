@@ -14,6 +14,8 @@ from spinorcalc.intersect import (
     exp_class,
     geom_map,
     hyperplane,
+    integrate_left_fiber,
+    integrate_right_fiber,
     lift_left,
     lift_right,
     model_curve,
@@ -320,6 +322,19 @@ class TestPushPull:
                     for lb in m.source.basis:
                         b = CohClass.basis_class(m.source, lb)
                         assert m.push(m.pull(a) * b) == a * m.push(b), (pname, la, lb)
+        # the threefold-curve product at other eta^2, through the lifts and fibre integrals
+        for s in (Q(0), Q(1), Q(7, 3), Q(-5, 6)):
+            prod = x_times_curve(eta_square=s)
+            eta = CohClass.basis_class(prod, ETA)
+            assert integrate_left_fiber(prod, eta).is_zero
+            assert integrate_right_fiber(prod, eta).is_zero
+            for factor, lift, fibre in ((prod.factors[0], lift_left, integrate_right_fiber),
+                                        (prod.factors[1], lift_right, integrate_left_fiber)):
+                for la in factor.basis:
+                    a = CohClass.basis_class(factor, la)
+                    for lb in prod.basis:
+                        b = CohClass.basis_class(prod, lb)
+                        assert fibre(prod, lift(prod, a) * b) == a * fibre(prod, b), (s, la, lb)
 
     @pytest.mark.parametrize("eta_square", [Q(0), Q(1), Q(7, 3), Q(-5, 6)], ids=str)
     @pytest.mark.parametrize("name", ["lambda1", "mu1"])
@@ -344,6 +359,23 @@ class TestPushPull:
         assert geom_map("lambda1").pull(eta).is_zero
         assert geom_map(f"p:{prod.name}").push(eta).is_zero
         assert geom_map(f"q:{prod.name}").push(eta).is_zero
+
+    def test_lifts_and_fibre_integrals_are_the_projection_maps(self):
+        prod = x_times_curve()
+        p, q = geom_map("p:XxC"), geom_map("q:XxC")
+        assert p is intersect._projection(prod, "left")
+        assert q is intersect._projection(prod, "right")
+        h, top = hyperplane(model_curve()), CohClass.basis_class(prod, "P*pt")
+        assert lift_right(prod, h) == q.pull(h) and integrate_right_fiber(prod, top) == p.push(top)
+
+    def test_fibre_maps_check_the_model(self):
+        prod = x_times_curve()
+        with pytest.raises(ValueError):
+            restrict_to_left_fiber(prod, CohClass.unit(model_x()))
+        with pytest.raises(ValueError):
+            integrate_left_fiber(prod, CohClass.unit(x_times_sdual()))
+        with pytest.raises(ValueError):
+            integrate_right_fiber(prod, CohClass.unit(x_times_sdual()))
 
     def test_model_mismatch(self):
         with pytest.raises(ValueError):
@@ -450,6 +482,12 @@ class TestChiErrors:
         e0, e1 = x_times_curve(eta_square=0), x_times_curve(eta_square=1)
         with pytest.raises(ValueError, match=r"^model mismatch: XxC vs XxC$"):
             chi(e1, CohClass.unit(e0), CohClass.unit(e0))
+
+    def test_mismatch_leaves_no_euler_form(self):
+        intersect._pairing.cache_clear()
+        with pytest.raises(ValueError, match=r"^model mismatch: X vs S$"):
+            chi(model_s(), CohClass.unit(model_x()), CohClass.unit(model_x()))
+        assert intersect._pairing.cache_info().currsize == 0
 
 
 def test_pairing_form_is_a_cleared_memo():

@@ -4,6 +4,7 @@ import pytest
 
 from spinorcalc.intersect import (
     CohClass,
+    chi,
     hyperplane,
     model_curve,
     model_s,
@@ -23,7 +24,6 @@ from spinorcalc.mukai import (
     class_u_plus,
     class_u_plus_dual,
     commdiag_check,
-    euler,
     gram,
     kernel_e_tilde,
     kernel_phi1,
@@ -46,20 +46,20 @@ def X():
 
 class TestEuler:
     def test_structure_sheaf(self):
-        assert euler(X(), CohClass.unit(X()), CohClass.unit(X())) == 1
+        assert chi(X(), CohClass.unit(X()), CohClass.unit(X())) == 1
 
     def test_exceptional_pair(self):
-        assert euler(X(), CohClass.unit(X()), class_u_plus()) == 0
-        assert euler(X(), class_u_plus(), class_u_plus()) == 1
-        assert euler(X(), class_u_plus(), CohClass.unit(X())) == 10
+        assert chi(X(), CohClass.unit(X()), class_u_plus()) == 0
+        assert chi(X(), class_u_plus(), class_u_plus()) == 1
+        assert chi(X(), class_u_plus(), CohClass.unit(X())) == 10
 
     def test_fiber_self_pairings(self):
-        assert euler(X(), class_e1y(), class_e1y()) == 0
-        assert euler(model_s(), class_e2y(), class_e2y()) == 0
+        assert chi(X(), class_e1y(), class_e1y()) == 0
+        assert chi(model_s(), class_e2y(), class_e2y()) == 0
 
     def test_model_mismatch(self):
         with pytest.raises(ValueError):
-            euler(X(), CohClass.unit(X()), CohClass.unit(model_s()))
+            chi(X(), CohClass.unit(X()), CohClass.unit(model_s()))
 
 
 class TestTransform:
@@ -131,8 +131,8 @@ class TestAdjunction:
             b = CohClass.basis_class(C, lb)
             for la in X().basis:
                 a = CohClass.basis_class(X(), la)
-                assert euler(X(), transform(phi1, b), a) \
-                    == euler(C, b, transform(shriek, a))
+                assert chi(X(), transform(phi1, b), a) \
+                    == chi(C, b, transform(shriek, a))
 
     def test_phi1_left_adjoint(self):
         phi1, left = kernel_phi1(), kernel_phi1_left()
@@ -141,8 +141,8 @@ class TestAdjunction:
             a = CohClass.basis_class(X(), la)
             for lb in C.basis:
                 b = CohClass.basis_class(C, lb)
-                assert euler(C, transform(left, a), b) \
-                    == euler(X(), a, transform(phi1, b))
+                assert chi(C, transform(left, a), b) \
+                    == chi(X(), a, transform(phi1, b))
 
     def test_phi2_left_adjoint(self):
         phi2, left = kernel_phi2(), kernel_phi2_left()
@@ -151,8 +151,8 @@ class TestAdjunction:
             a = CohClass.basis_class(S, la)
             for lb in Sd.basis:
                 b = CohClass.basis_class(Sd, lb)
-                assert euler(Sd, transform(left, a), b) \
-                    == euler(S, a, transform(phi2, b))
+                assert chi(Sd, transform(left, a), b) \
+                    == chi(S, a, transform(phi2, b))
 
     def test_numerical_faithfulness(self):
         # pairings of transformed classes reproduce the curve pairings
@@ -161,8 +161,8 @@ class TestAdjunction:
         for la in C.basis:
             for lb in C.basis:
                 a, b = CohClass.basis_class(C, la), CohClass.basis_class(C, lb)
-                assert euler(X(), transform(phi1, a), transform(phi1, b)) \
-                    == euler(C, a, b)
+                assert chi(X(), transform(phi1, a), transform(phi1, b)) \
+                    == chi(C, a, b)
 
 
 class TestGram:
@@ -270,10 +270,10 @@ class TestLattice:
 
     def test_conic_pairings(self):
         conic = class_o_conic()
-        assert euler(X(), conic, CohClass.unit(X())) == 1
-        assert euler(X(), conic, class_u_plus()) == 1
+        assert chi(X(), conic, CohClass.unit(X())) == 1
+        assert chi(X(), conic, class_u_plus()) == 1
         # chi(X, O_R) = 1 for a rational curve
-        assert euler(X(), CohClass.unit(X()), conic) == 1
+        assert chi(X(), CohClass.unit(X()), conic) == 1
 
     def test_conic_class_derivation(self):
         # degree 2 against the hyperplane and arithmetic genus zero

@@ -148,7 +148,7 @@ def test_fiber_bundle_self_pairing():
     assert ring.chi(ch, ch) == 0
     e1y = mukai.class_e1y()
     assert e1y.coeffs == ring.to_labels(ch)
-    assert mukai.euler(model_x(), e1y, e1y) == 0
+    assert chi(model_x(), e1y, e1y) == 0
 
 
 def test_eta_square_from_moduli_pairing():
@@ -250,8 +250,8 @@ def test_threefold_curve_adjunction(data):
     X, C = model_x(), model_curve()
     a, b = draw_class(data, X), draw_class(data, C)
     phi1, phi1s = mukai.kernel_phi1(), mukai.kernel_phi1_shriek()
-    assert mukai.euler(X, mukai.transform(phi1, b), a) \
-        == mukai.euler(C, b, mukai.transform(phi1s, a))
+    assert chi(X, mukai.transform(phi1, b), a) \
+        == chi(C, b, mukai.transform(phi1s, a))
 
 
 @settings(max_examples=20, deadline=None)
@@ -261,8 +261,8 @@ def test_k3_pair_adjunction(data):
     S, Sd = model_s(), model_sdual()
     a, b = draw_class(data, S), draw_class(data, Sd)
     phi2, phi2l = mukai.kernel_phi2(), mukai.kernel_phi2_left()
-    assert mukai.euler(Sd, mukai.transform(phi2l, a), b) \
-        == mukai.euler(S, a, mukai.transform(phi2, b))
+    assert chi(Sd, mukai.transform(phi2l, a), b) \
+        == chi(S, a, mukai.transform(phi2, b))
 
 
 @pytest.mark.parametrize("name", list(MODELS))
