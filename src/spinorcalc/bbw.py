@@ -22,23 +22,23 @@ otherwise the degree is the number of positive roots made negative and
 the dimension comes from the Weyl dimension formula for D5.
 
 ``HomogBundle(...)`` validates its summands and puts them in canonical
-order; ``twist``, ``dual`` and ``*`` keep that form by construction and skip
-the checks.  Every bundle also carries its untwisted form (base, shift): the
-doubled weights less the first summand's last doubled coordinate, and that
-coordinate, so b and every twist b(j) share one base.  The memos are keyed
-on bases, as plain ints, with the twist as an offset.  ``cohomology(b, k)``
-gives H(b(k)) from the table of b's base at shift + k: the Koszul page
-columns H(b(-p)), ``hilbert``, plain ``cohomology(b)`` (k = 0) and the same
-columns of any twist of b share one table per total shift, and none of them
-builds the twisted bundle.  ``b * c`` reads the product of the two bases from
-a memo and twists it by the sum of the shifts.
+order; ``twist``, ``dual``, ``*``, ``O`` and ``U`` keep that form by
+construction and skip the checks.  A bundle is stored only in its untwisted
+form (base, shift): the doubled weights less the first summand's last doubled
+coordinate, and that coordinate, so b and every twist b(j) share one base.
+The memos are keyed on bases, as plain ints, with the twist as an offset.
+``cohomology(b, k)`` gives H(b(k)) from the table of b's base at shift + k:
+the Koszul page columns H(b(-p)), ``hilbert``, plain ``cohomology(b)``
+(k = 0) and the same columns of any twist of b share one table per total
+shift, and none of them builds the twisted bundle.  ``b * c`` reads the
+product of the two bases from a memo and twists it by the sum of the shifts.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
@@ -122,63 +122,53 @@ class CohomologyTable:
         return "{" + ", ".join(f"{d}: {n}" for d, n in self.entries) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomogBundle:
     """Formal sum of irreducible equivariant bundles, tagged by weight.
 
-    The constructor validates and canonicalizes: every weight GL5-dominant,
-    equal weights merged, zero multiplicities dropped, none negative, and
-    the summands in strictly decreasing order of doubled weight.  ``twist``,
-    ``dual`` and ``*`` keep that form by construction and skip the checks.
-    ``twice`` is the same summands as (doubled weight, multiplicity) ints.
-    ``_base`` and ``_shift`` are the untwisted form of ``twice`` (see
-    ``_untwist``), the keys of the cohomology and product memos.
+    ``HomogBundle(summands)`` validates and canonicalizes: every weight
+    GL5-dominant, equal weights merged, zero multiplicities dropped, none
+    negative, and the summands in strictly decreasing order of doubled weight.
+    A bundle stores only their untwisted form (see ``_untwist``), the key of
+    the cohomology and product memos; ``twice`` and ``summands`` derive from it.
+    ``twist``, ``dual``, ``*``, ``O`` and ``U`` build through ``_from_base``,
+    which keeps the form by construction and skips the checks.
     """
 
-    summands: tuple[tuple[Weight, int], ...]
-    twice: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
-    _base: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
-    _shift: int = field(init=False, repr=False, compare=False)
+    _base: tuple[tuple[tuple[int, ...], int], ...]
+    _shift: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, summands: tuple[tuple[Weight, int], ...]) -> None:
         counts: Counter = Counter()
-        for w, m in self.summands:
+        for w, m in summands:
             if not is_dominant(w, "GL5"):
                 raise ValueError(f"summand weight {w} is not GL5-dominant")
-            counts[w] += m
-        clean = tuple(sorted(((w, m) for w, m in counts.items() if m),
-                             key=lambda e: e[0].twice, reverse=True))
+            counts[w.twice] += m
+        clean = tuple(sorted(((t, m) for t, m in counts.items() if m), reverse=True))
         if any(m < 0 for _, m in clean):
             raise ValueError("negative multiplicity")
-        object.__setattr__(self, "summands", clean)
-        twice = tuple((w.twice, m) for w, m in clean)
-        self._set_twice(twice, *_untwist(twice))
-
-    def _set_twice(self, twice, base, shift: int) -> None:
-        """Store ``twice`` and its untwisted form (``base``, ``shift``)."""
-        object.__setattr__(self, "twice", twice)
+        base, shift = _untwist(clean)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_shift", shift)
 
     @classmethod
-    def _canonical(cls, summands: tuple[tuple[Weight, int], ...]) -> "HomogBundle":
-        """The bundle of ``summands`` that the caller keeps canonical: dominant
-        weights, distinct and decreasing, with positive multiplicities."""
+    def _from_base(cls, base, shift: int) -> "HomogBundle":
+        """The bundle with untwisted form (``base``, ``shift``), which the caller
+        keeps canonical.  A uniform shift keeps each weight's parity, dominance
+        and place in the order."""
         b = object.__new__(cls)
-        object.__setattr__(b, "summands", summands)
-        twice = tuple((w.twice, m) for w, m in summands)
-        b._set_twice(twice, *_untwist(twice))
+        object.__setattr__(b, "_base", base)
+        object.__setattr__(b, "_shift", shift)
         return b
 
-    @classmethod
-    def _from_base(cls, base, shift: int) -> "HomogBundle":
-        """The bundle with untwisted form (``base``, ``shift``).  A uniform shift keeps
-        each weight's parity, dominance and place in the order."""
-        twice = tuple((tuple(map(shift.__add__, t)), m) for t, m in base)
-        b = object.__new__(cls)
-        object.__setattr__(b, "summands", tuple((Weight._unchecked(t), m) for t, m in twice))
-        b._set_twice(twice, base, shift)
-        return b
+    @property
+    def twice(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The summands as (doubled weight, multiplicity) ints."""
+        return tuple((tuple(map(self._shift.__add__, t)), m) for t, m in self._base)
+
+    @functools.cached_property
+    def summands(self) -> tuple[tuple[Weight, int], ...]:
+        return tuple((Weight._unchecked(t), m) for t, m in self.twice)
 
     @functools.cached_property
     def rank(self) -> int:
@@ -186,29 +176,28 @@ class HomogBundle:
 
     def dual(self) -> "HomogBundle":
         # negating and reversing keeps weights dominant and distinct, but not in order
-        return HomogBundle._canonical(tuple(sorted(
-            ((w.dual(), m) for w, m in self.summands), key=lambda e: e[0].twice, reverse=True)))
+        return HomogBundle._from_base(*_untwist(tuple(sorted(
+            ((tuple(-d for d in reversed(t)), m) for t, m in self.twice), reverse=True))))
 
     def twist(self, k: int) -> "HomogBundle":
         """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones.
         The base stays, and k is added to the shift."""
-        if not isinstance(k, int):
-            raise TypeError(f"the twist k must be an int, got {k!r}")
-        return HomogBundle._from_base(self._base, self._shift + k)
+        return HomogBundle._from_base(self._base, self._shift + _int_twist(k))
 
     def __mul__(self, other: "HomogBundle") -> "HomogBundle":
         # b(i) * c(j) = (b * c)(i + j), with the summands in the same order
         base, shift = _base_product(self._base, other._base)
         return HomogBundle._from_base(base, shift + self._shift + other._shift)
 
-    def __add__(self, other: "HomogBundle") -> "HomogBundle":
-        return HomogBundle(self.summands + other.summands)
-
-    def scaled(self, m: int) -> "HomogBundle":
-        return HomogBundle(tuple((w, m * n) for w, n in self.summands))
-
     def __str__(self) -> str:
         return " + ".join(f"{m}*({w})" if m != 1 else f"({w})" for w, m in self.summands)
+
+
+def _int_twist(k: int) -> int:
+    """``k``, once checked to be an int: the twist of ``O``, ``twist`` and ``cohomology``."""
+    if not isinstance(k, int):
+        raise TypeError(f"the twist k must be an int, got {k!r}")
+    return k
 
 
 def _untwist(twice: tuple) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
@@ -233,13 +222,13 @@ def _base_product(base1: tuple, base2: tuple) -> tuple[tuple, int]:
 
 
 def O(k: int = 0) -> HomogBundle:
-    """The line bundle O(k)."""
-    return HomogBundle._canonical(((Weight._from_twice((k,) * 5), 1),))
+    """The line bundle O(k), of doubled weight (k, k, k, k, k)."""
+    return HomogBundle._from_base((((0,) * 5, 1),), _int_twist(k))
 
 
 def U() -> HomogBundle:
-    """The rank-5 tautological subbundle."""
-    return HomogBundle._canonical(((Weight._from_twice((0, 0, 0, 0, -2)), 1),))
+    """The rank-5 tautological subbundle, of doubled weight (0, 0, 0, 0, -2)."""
+    return HomogBundle._from_base((((2, 2, 2, 2, 0), 1),), -2)
 
 
 def irreducible(w: Weight) -> HomogBundle:
@@ -417,9 +406,7 @@ def _twisted_table(base: tuple[tuple[tuple[int, ...], int], ...], k: int) -> Coh
 
 def cohomology(b: HomogBundle, k: int = 0) -> CohomologyTable:
     """Sheaf cohomology of the twist b(k) on the tenfold, summand by summand."""
-    if not isinstance(k, int):
-        raise TypeError(f"the twist k must be an int, got {k!r}")
-    return _twisted_table(b._base, b._shift + k)
+    return _twisted_table(b._base, b._shift + _int_twist(k))
 
 
 def hilbert(b: HomogBundle, k: int) -> int:

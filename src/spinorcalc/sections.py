@@ -5,11 +5,11 @@ A codimension-c linear section carries the exterior-algebra resolution of
 its structure sheaf, so hypercohomology of a restricted bundle b is read
 off a first page with entries H^q(tenfold, b(-p)) repeated binomial(c, p)
 times.  The columns H(b(-p)) are read once per bundle, each through one
-``cohomology(b, -p)`` call, into a record keyed on ``b.twice`` that a deeper
-codimension extends; each codimension folds its per-degree totals straight
-from those columns, weighting each cell by binomial(c, p), without building
-the page, and the same record keeps the result of each codimension.  With
-E_d the page total in degree d = q - p and y_d the rank of the
+``cohomology(b, -p)`` call, into a record keyed on b's untwisted form that
+a deeper codimension extends; each codimension folds its per-degree totals
+straight from those columns, weighting each cell by binomial(c, p), without
+building the page, and the same record keeps the result of each codimension.
+With E_d the page total in degree d = q - p and y_d the rank of the
 differentials from degree d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0
 unless a cell of degree d has a larger p than one of degree d + 1, and
 h^d = 0 outside the degrees 0..dim of the section.  ``_chain`` bounds the
@@ -110,10 +110,10 @@ Cell = tuple[int, int, int]   # (p, d = q - p, n): one nonzero entry of the colu
 
 
 @functools.lru_cache(maxsize=None)
-def _column_memo(twice: tuple) -> list:
+def _column_memo(base: tuple, shift: int) -> list:
     """[number of columns read, their cells in order of p, then q, {codim: SectionResult}]
-    for the bundle b with ``b.twice == twice``.  ``_cells`` stores a new pair rather than
-    extending the stored list, so the count and the cells always agree."""
+    for the bundle with untwisted form (``base``, ``shift``).  ``_cells`` stores a new pair
+    rather than extending the stored list, so the count and the cells always agree."""
     return [0, [], {}]
 
 
@@ -138,7 +138,7 @@ def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
     """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
-    return _page(_cells(b, codim, _column_memo(b.twice)), _BINOMIALS[codim])
+    return _page(_cells(b, codim, _column_memo(b._base, b._shift)), _BINOMIALS[codim])
 
 
 def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
@@ -148,7 +148,7 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
     weights = _BINOMIALS[codim]   # before the lookup, so a codim that is not an int raises
-    memo = _column_memo(b.twice)
+    memo = _column_memo(b._base, b._shift)
     results = memo[2]
     res = results.get(codim)
     if res is None:

@@ -2,11 +2,12 @@
 against the rebuilt twisted bundles, and a guard that a section table of a
 built bundle builds no further bundle.  The columns are read once per bundle
 whatever order the codims come in.  Also: ``twist``, ``dual`` and ``*``
-return canonical bundles without running the validating constructor, and the
-column memo is keyed on ints.  The bbw memos are keyed on the untwisted
-bundle, so a twist family shares its tables and its products, and the section
-results are kept per bundle and codim; emptying every memo that a cold
-benchmark round empties makes the next sweep read every column again."""
+return canonical bundles without running the validating constructor, the
+column memo is keyed on ints, and on memo hits building, twisting, dualizing
+and multiplying bundles builds no ``Weight``.  The bbw memos are keyed on the
+untwisted bundle, so a twist family shares its tables and its products, and
+the section results are kept per bundle and codim; emptying every memo that a
+cold benchmark round empties makes the next sweep read every column again."""
 
 from fractions import Fraction
 from math import comb
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import tensor_oracle
 from spinorcalc import bbw, sections
-from spinorcalc.bbw import CohomologyTable, HomogBundle, cohomology, hilbert, make_bundle
+from spinorcalc.bbw import CohomologyTable, HomogBundle, O, cohomology, hilbert, make_bundle
 from spinorcalc.rootdata import Weight
 from spinorcalc.sections import koszul_page, section_cohomology
 
@@ -55,13 +56,13 @@ def test_section_table_builds_no_bundle(monkeypatch):
     b = make_bundle("dual(U)*U(1)")
     bbw._twisted_table.cache_clear()   # every column is computed, none is a memo hit
     built = []
-    original = HomogBundle.__post_init__
+    original = HomogBundle.__init__
 
-    def counting(self) -> None:
+    def counting(self, *args) -> None:
+        original(self, *args)
         built.append(self)
-        original(self)
 
-    monkeypatch.setattr(HomogBundle, "__post_init__", counting)
+    monkeypatch.setattr(HomogBundle, "__init__", counting)
     section_cohomology(b, 9)
     assert built == []
 
@@ -108,6 +109,7 @@ def test_unchecked_operations_stay_canonical(expr, other, k):
         validated = HomogBundle(x.summands)
         assert validated.summands == x.summands
         assert validated.twice == x.twice
+        assert validated == x and hash(validated) == hash(x)
     for j in range(-9, 10):
         table = cohomology(b, j)
         assert table.entries == CohomologyTable.from_dict(table.dims()).entries
@@ -116,13 +118,13 @@ def test_unchecked_operations_stay_canonical(expr, other, k):
 def test_operations_skip_validation(monkeypatch):
     b, c = make_bundle("dual(U)(1)*U"), make_bundle("U(-2)*O(3)")
     built = []
-    validate = HomogBundle.__post_init__
+    validate = HomogBundle.__init__
 
-    def counting(self) -> None:
+    def counting(self, *args) -> None:
+        validate(self, *args)
         built.append(self)
-        validate(self)
 
-    monkeypatch.setattr(HomogBundle, "__post_init__", counting)
+    monkeypatch.setattr(HomogBundle, "__init__", counting)
     b.twist(5), b.dual(), b * c, c.dual().twist(-1) * b
     assert built == []
 
@@ -142,6 +144,35 @@ def test_memo_hit_hashes_no_weight(monkeypatch):
     assert cohomology(b, -3) is table
     assert bbw._twisted_table.cache_info().hits == hits + 1
     assert hashed == []
+
+
+def test_the_bundle_path_builds_no_weight(monkeypatch):
+    def bundle_path():
+        b = make_bundle("dual(U)(1)*U(-2)")
+        return b.twist(3).dual() * b, cohomology(b, -3)
+
+    bundle_path()   # the product and table memos now hold what the path reads
+    built = []
+    for name in ("_unchecked", "_from_twice"):
+        original = getattr(Weight, name)
+
+        def counting(cls, twice, _original=original):
+            built.append(twice)
+            return _original(twice)
+
+        monkeypatch.setattr(Weight, name, classmethod(counting))
+    init = Weight.__init__
+
+    def counting_init(self, coords) -> None:
+        built.append(coords)
+        init(self, coords)
+
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    hits = bbw._base_product.cache_info().hits, bbw._twisted_table.cache_info().hits
+    bundle_path()
+    assert built == []
+    assert bbw._base_product.cache_info().hits == hits[0] + 2
+    assert bbw._twisted_table.cache_info().hits == hits[1] + 1
 
 
 def test_degree_above_dim_names_the_twisted_bundle(monkeypatch):
@@ -170,6 +201,8 @@ def test_a_product_of_twists_is_the_twisted_product(expr, other, i, j):
     twisted, product = b.twist(i) * c.twist(j), (b * c).twist(i + j)
     assert twisted.summands == product.summands
     assert twisted.twice == product.twice
+    assert twisted == product
+    assert b.twist(i).twist(j) == b.twist(i + j)
     assert twisted.summands == tensor_oracle(b.twist(i), c.twist(j))
     assert (b * c).summands == tensor_oracle(b, c)
 
@@ -181,7 +214,9 @@ def test_a_twist_that_is_not_an_int_raises(k):
         b.twist(k)
     with pytest.raises(TypeError) as cohomology_info:
         cohomology(b, k)
-    for info in (twist_info, cohomology_info):
+    with pytest.raises(TypeError) as line_info:
+        O(k)
+    for info in (twist_info, cohomology_info, line_info):
         assert str(info.value) == f"the twist k must be an int, got {k!r}"
 
 
@@ -204,7 +239,7 @@ def test_a_raising_section_call_keeps_no_result(monkeypatch):
     for codim in (*range(1, 10), 7):
         with pytest.raises(ArithmeticError):
             section_cohomology(b, codim)
-    assert sections._column_memo(b.twice)[2] == {}
+    assert sections._column_memo(b._base, b._shift)[2] == {}
 
 
 def test_clearing_the_memos_reads_every_column_again(monkeypatch):
