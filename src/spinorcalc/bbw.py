@@ -194,8 +194,8 @@ class HomogBundle:
 
 
 def _int_twist(k: int) -> int:
-    """``k``, once checked to be an int: the twist of ``O``, ``twist`` and ``cohomology``."""
-    if not isinstance(k, int):
+    """``k``, checked to be an int, not a bool: the twist of ``O``, ``twist`` and ``cohomology``."""
+    if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"the twist k must be an int, got {k!r}")
     return k
 

@@ -101,7 +101,7 @@ def _adjoint(left: str, right: str) -> bool:
     and ``right`` (R), L left adjoint to R."""
     lx, ry = ([(x, mukai.transform(k, x))
                for x in (CohClass.basis_class(k.source, label) for label in k.source.basis)]
-              for k in (mukai.KERNELS[name]() for name in (left, right)))
+              for k in (mukai.kernel(left), mukai.kernel(right)))
     return all(intersect.chi(y.model, image_x, y) == intersect.chi(x.model, x, image_y)
                for x, image_x in lx for y, image_y in ry)
 
@@ -169,7 +169,7 @@ def _mutated_pair(m: _Memo) -> tuple:
 
 
 def _k3_transform_rank(m: _Memo) -> dict:
-    mat = mukai.transform_matrix(mukai.kernel_phi2())
+    mat = mukai.transform_matrix(mukai.kernel("phi2"))
     return dict(expected=len(mat), computed=mukai.matrix_rank(mat))
 
 
@@ -195,7 +195,7 @@ def _gram_collection(tokens: str) -> tuple[list[tuple[str, CohClass]], list[int]
             collection.append(("O_X", CohClass.unit(intersect.model_x())))
             blocks.append(1)
         elif token == "phi1":
-            phi1_o = mukai.transform(mukai.kernel_phi1(), CohClass.unit(intersect.model_curve()))
+            phi1_o = mukai.transform(mukai.kernel("phi1"), CohClass.unit(intersect.model_curve()))
             if phi1_o.rank != 0:
                 raise ValueError(f"Phi1(O_C) has rank {phi1_o.rank}, not 0")
             collection += [("Phi1(O_C)", phi1_o), ("Phi1(pt)", mukai.class_e1y())]
@@ -347,7 +347,7 @@ SUITES: dict[str, tuple[_Record, ...]] = {
         _Record("conic-right-transform", "the right adjoint sends a conic to a length-2 cycle",
                 None, lambda m: dict(
                     expected=str(CohClass.basis_class(intersect.model_curve(), "pt", 2)),
-                    computed=str(mukai.transform(mukai.kernel_phi1_shriek(),
+                    computed=str(mukai.transform(mukai.kernel("phi1-shriek"),
                                                  mukai.class_o_conic())))),
     ),
 }
@@ -450,7 +450,7 @@ def _cmd_fm(args) -> int:
 
     if not args.kernel or args.apply is None:
         raise ValueError("fm needs either --gram or both --kernel and --apply")
-    K = mukai.KERNELS[args.kernel]()
+    K = mukai.kernel(args.kernel)
     data = _class_from_text(args.apply, K.source)
     out = mukai.transform(K, data)
     if args.format == "json":
@@ -507,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chern.set_defaults(func=_cmd_chern)
 
     p_fm = sub.add_parser("fm", help="numerical integral transforms")
-    p_fm.add_argument("--kernel", choices=tuple(mukai.KERNELS))
+    p_fm.add_argument("--kernel", choices=mukai.KERNELS)
     p_fm.add_argument("--apply", help="named class (O_R, E1y, ...) or JSON coefficients")
     p_fm.add_argument("--gram", help="comma-separated collection tokens: u, o, phi1")
     p_fm.set_defaults(func=_cmd_fm)

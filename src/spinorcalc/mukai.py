@@ -13,6 +13,9 @@ structure table at the lift and fiber-top slots of ``intersect._projection``;
 a transform applies them to the class.  The convention is pinned by the
 adjunction identities chi(transform(b), a) = chi(b, adjoint_transform(a)),
 which the test suite checks over full bases, not by a literature choice.
+
+The kernels are the rows of one table, ``_KERNELS``, each built once by
+``kernel(name)``; ``KERNELS`` names the six public ones.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class KernelSpec:
 
     def _transform_rows(self) -> Matrix:
         """The images of the source basis classes, read from the product's structure table."""
-        prod, kernel, src, td = self.product, self.kernel_ch.num, self.source, todd(self.source)
+        prod, ch, src, td = self.product, self.kernel_ch.num, self.source, todd(self.source)
         target_side = "right" if self.source_side == "left" else "left"
         # the slot of each lifted source basis class (the lift's unit rows), and the
         # target index of each source-fibre-top slot (the fibre integral's unit rows)
@@ -101,7 +104,7 @@ class KernelSpec:
             for j, row in prod.cells[m]:
                 for k, c in row:
                     if k in target:
-                        image[target[k]] += kernel[j] * c
+                        image[target[k]] += ch[j] * c
             images.append(image)
         # row i: the parity times the image of e_i td = sum (td_j c / (td.den src.den)) e_m
         rows = []
@@ -132,87 +135,43 @@ def transform(K: KernelSpec, a: CohClass) -> CohClass:
     return _apply(K.target, K.rows, a)
 
 
-def _twist_exp(prod: RingModel, left_mult: int, right_mult: int) -> CohClass:
-    h_left, h_right = _factor_hyperplanes(prod)
-    return exp_class(h_left.scale(left_mult) + h_right.scale(right_mult))
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_phi1() -> KernelSpec:
-    """Transform from the dual-curve classes to the threefold: kernel E1."""
-    prod = x_times_curve()
-    return KernelSpec("phi1", prod, "right", universal_ch(prod), 1)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_phi1_left() -> KernelSpec:
-    """Left adjoint of phi1: kernel E1(-2H_X - H_C) with an odd shift."""
-    prod = x_times_curve()
-    k = universal_ch(prod) * _twist_exp(prod, -2, -1)
-    return KernelSpec("phi1-left", prod, "left", k, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_phi1_shriek() -> KernelSpec:
-    """Right adjoint of phi1: kernel dual(E1)(H_C) with an odd shift."""
-    prod = x_times_curve()
-    k = universal_ch(prod).dual() * _twist_exp(prod, 0, 1)
-    return KernelSpec("phi1-shriek", prod, "left", k, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_phi2() -> KernelSpec:
-    """Transform from the dual-K3 classes to the K3: kernel E2."""
-    prod = s_times_sdual()
-    return KernelSpec("phi2", prod, "right", universal_ch(prod), 1)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_phi2_left() -> KernelSpec:
-    """Left adjoint of phi2: kernel E2(-H_S - H_Sd) with an even shift."""
-    prod = s_times_sdual()
-    k = universal_ch(prod) * _twist_exp(prod, -1, -1)
-    return KernelSpec("phi2-left", prod, "left", k, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_e_tilde() -> KernelSpec:
-    """The glued kernel on threefold x dual-K3, twisted by -H_X - H_Sd.
-
-    Its character is ch(dual U_+) - ch(U_-), the cone of the tautological
-    pairing map, so the transform splits into a chi(a, O)-multiple of
-    U_-(-H_Sd) and a chi(a, U_+)-multiple of O(-H_Sd).
-    """
-    ch = _kernel_u_quotient_dual().kernel_ch - _kernel_u_sub().kernel_ch
-    return KernelSpec("E-tilde", x_times_sdual(), "left", ch, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_u_sub() -> KernelSpec:
-    """Split piece of the glued kernel through U_- of the dual K3, twisted by
-    -H_X - H_Sd; for the factorization check."""
-    prod = x_times_sdual()
-    ch = lift_right(prod, tautological_ch(model_sdual()))
-    return KernelSpec("u-piece-sub", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_u_quotient_dual() -> KernelSpec:
-    """Split piece of the glued kernel through dual(U_+) of the threefold, twisted
-    by -H_X - H_Sd; for the factorization check."""
-    prod = x_times_sdual()
-    ch = lift_left(prod, tautological_ch(model_x()).dual())
-    return KernelSpec("u-piece-quotient-dual", prod, "left", ch * _twist_exp(prod, -1, -1), -1)
-
-
-KERNELS = {
-    "phi1": kernel_phi1,
-    "phi1-left": kernel_phi1_left,
-    "phi1-shriek": kernel_phi1_shriek,
-    "phi2": kernel_phi2,
-    "phi2-left": kernel_phi2_left,
-    "E-tilde": kernel_e_tilde,
+# name -> (source side, character, twist (a, b) by exp(a H_left + b H_right),
+# shift parity).  A character is built on first use, and the kernel lives on the
+# product its character lives on.  The first six rows are the public kernels: E1
+# and E2, their adjoints E1(-2H_X - H_C)[1], dual(E1)(H_C)[1] and E2(-H_S - H_Sd),
+# and the glued kernel on threefold x dual-K3, twisted by -H_X - H_Sd.  Its
+# character is ch(dual U_+) - ch(U_-), the cone of the tautological pairing map,
+# so the transform splits into a chi(a, O)-multiple of U_-(-H_Sd) and a
+# chi(a, U_+)-multiple of O(-H_Sd).  The last two rows are those split pieces,
+# for the factorization check; the glued kernel takes its twist from them.
+_KERNELS = {
+    "phi1": ("right", lambda: universal_ch(x_times_curve()), (0, 0), 1),
+    "phi1-left": ("left", lambda: universal_ch(x_times_curve()), (-2, -1), -1),
+    "phi1-shriek": ("left", lambda: universal_ch(x_times_curve()).dual(), (0, 1), -1),
+    "phi2": ("right", lambda: universal_ch(s_times_sdual()), (0, 0), 1),
+    "phi2-left": ("left", lambda: universal_ch(s_times_sdual()), (-1, -1), 1),
+    "E-tilde": ("left", lambda: (kernel("u-piece-quotient-dual").kernel_ch
+                                 - kernel("u-piece-sub").kernel_ch), (0, 0), -1),
+    "u-piece-sub": ("left", lambda: lift_right(x_times_sdual(), tautological_ch(model_sdual())),
+                    (-1, -1), -1),
+    "u-piece-quotient-dual": ("left", lambda: lift_left(x_times_sdual(),
+                                                        tautological_ch(model_x()).dual()),
+                              (-1, -1), -1),
 }
+
+# the public kernels, the choices of ``fm --kernel``
+KERNELS = tuple(_KERNELS)[:6]
+
+
+@functools.lru_cache(maxsize=None)
+def kernel(name: str) -> KernelSpec:
+    """The kernel of the ``_KERNELS`` row ``name``, built once."""
+    side, character, (a, b), parity = _KERNELS[name]
+    ch = character()
+    if (a, b) != (0, 0):
+        h_left, h_right = _factor_hyperplanes(ch.model)
+        ch = ch * exp_class(h_left.scale(a) + h_right.scale(b))
+    return KernelSpec(name, ch.model, side, ch, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +195,25 @@ def class_o_conic() -> CohClass:
     return CohClass.basis_class(model_x(), "L", 2)
 
 
+def _point_image(name: str, label: str) -> CohClass:
+    """The image of the source point class under the kernel ``name``: a rank-2 bundle."""
+    K = kernel(name)
+    out = transform(K, point_class(K.source))
+    if out.rank != 2:
+        raise ValueError(f"{label} has rank {out.rank}, not 2")
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def class_e1y() -> CohClass:
     """The rank-2 threefold bundle attached to a point of the dual curve."""
-    out = transform(kernel_phi1(), point_class(model_curve()))
-    if out.rank != 2:
-        raise ValueError(f"E1y has rank {out.rank}, not 2")
-    return out
+    return _point_image("phi1", "E1y")
 
 
 @functools.lru_cache(maxsize=None)
 def class_e2y() -> CohClass:
     """The rank-2 K3 bundle attached to a point of the dual K3."""
-    out = transform(kernel_phi2(), point_class(model_sdual()))
-    if out.rank != 2:
-        raise ValueError(f"E2y has rank {out.rank}, not 2")
-    return out
+    return _point_image("phi2", "E2y")
 
 
 NAMED_CLASSES = {
@@ -375,13 +337,13 @@ def commdiag_check(a: CohClass) -> bool:
     h_sd = hyperplane(sd)
     # Piece through U_-: -(chi(a, O)) * ch(U_-(-H)); piece through dual U_+:
     # -(chi(a, U_+)) * ch(O(-H)).  Serre duality on the threefold gives the signs.
-    piece_sub = transform(_kernel_u_sub(), a)
+    piece_sub = transform(kernel("u-piece-sub"), a)
     expect_sub = tautological_ch(sd).twisted(-1 * h_sd).scale(chi_o)
-    piece_quot = transform(_kernel_u_quotient_dual(), a)
+    piece_quot = transform(kernel("u-piece-quotient-dual"), a)
     expect_quot = exp_class(-1 * h_sd).scale(chi_u)
     if piece_sub != expect_sub or piece_quot != expect_quot:
         raise ArithmeticError("split pieces of the glued kernel missed their chi-multiples")
-    return transform(kernel_e_tilde(), a).is_zero
+    return transform(kernel("E-tilde"), a).is_zero
 
 
 def orthogonal_complement_basis() -> list[CohClass]:

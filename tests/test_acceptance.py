@@ -107,7 +107,7 @@ def test_criterion_08_fiber_self_pairings():
 def test_criterion_09_numerical_sod():
     X = intersect.model_x()
     C = intersect.model_curve()
-    phi1 = mukai.kernel_phi1()
+    phi1 = mukai.kernel("phi1")
     coll = [
         ("U+", mukai.class_u_plus()),
         ("O_X", CohClass.unit(X)),
@@ -136,7 +136,7 @@ def test_criterion_11_conics():
     assert (c1 * conic).integrate() == -4
     assert intersect.chi(X, conic, CohClass.unit(X)) == 1
     assert intersect.chi(X, conic, mukai.class_u_plus()) == 1
-    out = mukai.transform(mukai.kernel_phi1_shriek(), conic)
+    out = mukai.transform(mukai.kernel("phi1-shriek"), conic)
     assert out == CohClass.basis_class(intersect.model_curve(), "pt", 2)
     _report("criterion 11", "deg(U|R) = -4; chi(O_R,O) = chi(O_R,U) = 1; transform = 2 pt")
 
@@ -179,7 +179,7 @@ def test_criterion_12b_serre_duality_sections():
 def test_criterion_12c_adjunction():
     X, C = intersect.model_x(), intersect.model_curve()
     S, Sd = intersect.model_s(), intersect.model_sdual()
-    phi1, shriek, left1 = mukai.kernel_phi1(), mukai.kernel_phi1_shriek(), mukai.kernel_phi1_left()
+    phi1, shriek, left1 = mukai.kernel("phi1"), mukai.kernel("phi1-shriek"), mukai.kernel("phi1-left")
     for lb in C.basis:
         b = CohClass.basis_class(C, lb)
         for la in X.basis:
@@ -188,7 +188,7 @@ def test_criterion_12c_adjunction():
                 == intersect.chi(C, b, mukai.transform(shriek, a))
             assert intersect.chi(C, mukai.transform(left1, a), b) \
                 == intersect.chi(X, a, mukai.transform(phi1, b))
-    phi2, left2 = mukai.kernel_phi2(), mukai.kernel_phi2_left()
+    phi2, left2 = mukai.kernel("phi2"), mukai.kernel("phi2-left")
     for la in S.basis:
         a = CohClass.basis_class(S, la)
         for lb in Sd.basis:

@@ -207,7 +207,7 @@ def test_a_product_of_twists_is_the_twisted_product(expr, other, i, j):
     assert (b * c).summands == tensor_oracle(b, c)
 
 
-@pytest.mark.parametrize("k", [Fraction(1, 2), 1.0])
+@pytest.mark.parametrize("k", [Fraction(1, 2), 1.0, True])
 def test_a_twist_that_is_not_an_int_raises(k):
     b = make_bundle("U")
     with pytest.raises(TypeError) as twist_info:

@@ -15,7 +15,10 @@ from spinorcalc.intersect import (
     universal_ch,
     x_times_curve,
 )
+from spinorcalc import mukai
 from spinorcalc.mukai import (
+    _KERNELS,
+    KERNELS,
     KernelSpec,
     OrthogonalityError,
     class_e1y,
@@ -25,12 +28,7 @@ from spinorcalc.mukai import (
     class_u_plus_dual,
     commdiag_check,
     gram,
-    kernel_e_tilde,
-    kernel_phi1,
-    kernel_phi1_left,
-    kernel_phi1_shriek,
-    kernel_phi2,
-    kernel_phi2_left,
+    kernel,
     matrix_rank,
     mutate,
     named_class,
@@ -64,26 +62,26 @@ class TestEuler:
 
 class TestTransform:
     def test_point_goes_to_fiber_bundle(self):
-        out = transform(kernel_phi1(), point_class(model_curve()))
+        out = transform(kernel("phi1"), point_class(model_curve()))
         assert out.rank == 2
         c1, c2 = out.chern_classes()[:2]
         assert c1 == hyperplane(X())
         assert c2 == CohClass.basis_class(X(), "L", 5)
 
     def test_k3_point_goes_to_fiber_bundle(self):
-        out = transform(kernel_phi2(), point_class(model_sdual()))
+        out = transform(kernel("phi2"), point_class(model_sdual()))
         assert out.rank == 2
         c1, c2 = out.chern_classes()[:2]
         assert c1 == hyperplane(model_s())
         assert c2 == CohClass.basis_class(model_s(), "P", 5)
 
     def test_conic_under_right_adjoint(self):
-        out = transform(kernel_phi1_shriek(), class_o_conic())
+        out = transform(kernel("phi1-shriek"), class_o_conic())
         assert out == CohClass.basis_class(model_curve(), "pt", 2)
 
     def test_exceptional_classes_die_under_right_adjoint(self):
-        assert transform(kernel_phi1_shriek(), CohClass.unit(X())).is_zero
-        assert transform(kernel_phi1_shriek(), class_u_plus()).is_zero
+        assert transform(kernel("phi1-shriek"), CohClass.unit(X())).is_zero
+        assert transform(kernel("phi1-shriek"), class_u_plus()).is_zero
 
     def test_zero_kernel(self):
         prod = x_times_curve()
@@ -91,30 +89,30 @@ class TestTransform:
         assert transform(K, point_class(model_curve())).is_zero
 
     def test_additive_in_class(self):
-        K = kernel_phi1()
+        K = kernel("phi1")
         a = CohClass.basis_class(model_curve(), "pt", 3)
         b = CohClass.unit(model_curve()).scale(2)
         assert transform(K, a + b) == transform(K, a) + transform(K, b)
 
     def test_additive_in_kernel(self):
         prod = x_times_curve()
-        k1 = kernel_phi1()
+        k1 = kernel("phi1")
         k2 = KernelSpec("twice", prod, "right", k1.kernel_ch + k1.kernel_ch, 1)
         pt = point_class(model_curve())
         assert transform(k2, pt) == transform(k1, pt).scale(2)
 
     def test_source_check(self):
         with pytest.raises(ValueError):
-            transform(kernel_phi1(), CohClass.unit(X()))
+            transform(kernel("phi1"), CohClass.unit(X()))
 
     def test_source_error_text(self):
         with pytest.raises(ValueError, match=r"^class lives on C, kernel source is X$"):
-            transform(kernel_phi1_left(), CohClass.unit(model_curve()))
+            transform(kernel("phi1-left"), CohClass.unit(model_curve()))
         with pytest.raises(ValueError, match=r"^class lives on X, kernel source is C$"):
-            transform(kernel_phi1(), CohClass.unit(X()))
+            transform(kernel("phi1"), CohClass.unit(X()))
 
     def test_transform_runs_no_product_on_the_product_model(self, monkeypatch):
-        K, pt = kernel_phi1(), point_class(model_curve())
+        K, pt = kernel("phi1"), point_class(model_curve())
         models = []
         mul = CohClass.__mul__
         monkeypatch.setattr(CohClass, "__mul__",
@@ -123,9 +121,33 @@ class TestTransform:
         assert K.product not in models
 
 
+class TestKernelTable:
+    def test_public_kernels(self):
+        assert KERNELS == ("phi1", "phi1-left", "phi1-shriek", "phi2", "phi2-left", "E-tilde")
+
+    @pytest.mark.parametrize("name", list(_KERNELS))
+    def test_each_row_is_built_once_and_rebuilt_equal(self, name):
+        K = kernel(name)
+        assert kernel(name) is K
+        assert K.name == name
+        assert K.kernel_ch.model is K.product
+        kernel.cache_clear()
+        rebuilt = kernel(name)
+        assert rebuilt is not K
+        assert rebuilt == K
+        assert rebuilt.rows == K.rows
+
+    @pytest.mark.parametrize("point_bundle, label",
+                             [(class_e1y, "E1y"), (class_e2y, "E2y")])
+    def test_a_point_image_of_the_wrong_rank_raises(self, monkeypatch, point_bundle, label):
+        monkeypatch.setattr(mukai, "transform", lambda K, a: CohClass.zero(K.target))
+        with pytest.raises(ValueError, match=rf"^{label} has rank 0, not 2$"):
+            point_bundle.__wrapped__()
+
+
 class TestAdjunction:
     def test_phi1_right_adjoint(self):
-        phi1, shriek = kernel_phi1(), kernel_phi1_shriek()
+        phi1, shriek = kernel("phi1"), kernel("phi1-shriek")
         C = model_curve()
         for lb in C.basis:
             b = CohClass.basis_class(C, lb)
@@ -135,7 +157,7 @@ class TestAdjunction:
                     == chi(C, b, transform(shriek, a))
 
     def test_phi1_left_adjoint(self):
-        phi1, left = kernel_phi1(), kernel_phi1_left()
+        phi1, left = kernel("phi1"), kernel("phi1-left")
         C = model_curve()
         for la in X().basis:
             a = CohClass.basis_class(X(), la)
@@ -145,7 +167,7 @@ class TestAdjunction:
                     == chi(X(), a, transform(phi1, b))
 
     def test_phi2_left_adjoint(self):
-        phi2, left = kernel_phi2(), kernel_phi2_left()
+        phi2, left = kernel("phi2"), kernel("phi2-left")
         S, Sd = model_s(), model_sdual()
         for la in S.basis:
             a = CohClass.basis_class(S, la)
@@ -156,7 +178,7 @@ class TestAdjunction:
 
     def test_numerical_faithfulness(self):
         # pairings of transformed classes reproduce the curve pairings
-        phi1 = kernel_phi1()
+        phi1 = kernel("phi1")
         C = model_curve()
         for la in C.basis:
             for lb in C.basis:
@@ -179,7 +201,7 @@ class TestGram:
         assert report.semiorthogonal and all(report.exceptional)
 
     def test_four_block_collection(self):
-        phi1 = kernel_phi1()
+        phi1 = kernel("phi1")
         C = model_curve()
         coll = [
             ("U+", class_u_plus()),
@@ -245,7 +267,7 @@ class TestCommdiag:
 
     def test_transform_images_pass(self):
         assert commdiag_check(class_e1y())
-        phi1 = kernel_phi1()
+        phi1 = kernel("phi1")
         img = transform(phi1, CohClass.unit(model_curve()))
         assert img.rank == 0
         assert commdiag_check(img)
@@ -259,13 +281,13 @@ class TestCommdiag:
 
     def test_e_tilde_does_not_kill_structure_sheaf(self):
         # the glued kernel is nonzero on classes outside the orthogonal
-        out = transform(kernel_e_tilde(), CohClass.unit(X()))
+        out = transform(kernel("E-tilde"), CohClass.unit(X()))
         assert not out.is_zero
 
 
 class TestLattice:
     def test_k3_transform_invertible(self):
-        mat = transform_matrix(kernel_phi2())
+        mat = transform_matrix(kernel("phi2"))
         assert matrix_rank(mat) == len(mat) == 3
 
     def test_conic_pairings(self):

@@ -1,10 +1,11 @@
-"""The six transform kernels against the polynomial-ring oracle of oracles.py.
+"""The eight kernels of the mukai table against the polynomial-ring oracle of oracles.py.
 
 The oracle side is rebuilt only from the data the docstrings state: E1 has
 c1 = H_X + H_C and c2 = (7/12) H_X H_C + 5 L + eta with eta^2 = 14, E2 has
 c1 = H_S + H_Sd and c2 = (7/12) H_S H_Sd + 5 P_S + 5 P_Sd, U+ = 5 - 2H + P on
 the threefold, U- = 5 - 2H on the dual K3, and each kernel names its twists
-and shift parity.  A transform is parity * push(pull(a * td(source)) * kernel).
+and shift parity.  The glued kernel is dual(U+) - U-; its two split pieces
+carry one term each.  A transform is parity * push(pull(a * td(source)) * kernel).
 """
 
 from fractions import Fraction as Q
@@ -13,7 +14,7 @@ import pytest
 
 from oracles import FACTOR_TODD, PolyRing
 from spinorcalc.intersect import ETA, CohClass
-from spinorcalc.mukai import KERNELS, transform
+from spinorcalc.mukai import _KERNELS, kernel, transform
 
 # name -> (source slot, dualize the character, twist multiples (left, right), parity)
 SPECS = {
@@ -23,6 +24,8 @@ SPECS = {
     "phi2": (1, False, (0, 0), 1),
     "phi2-left": (0, False, (-1, -1), 1),
     "E-tilde": (0, False, (-1, -1), -1),
+    "u-piece-sub": (0, False, (-1, -1), -1),
+    "u-piece-quotient-dual": (0, False, (-1, -1), -1),
 }
 
 
@@ -44,7 +47,8 @@ def oracle_kernel(name: str) -> tuple[PolyRing, dict]:
         ring = PolyRing(("X", "Sd"))
         u_plus_dual = ring.dual(ring.from_labels({"1*1": 5, "H*1": -2, "P*1": 1}))
         u_minus = ring.from_labels({"1*1": 5, "1*H": -2})
-        ch = ring.add(u_plus_dual, u_minus, scales=[1, -1])
+        scales = {"E-tilde": [1, -1], "u-piece-quotient-dual": [1, 0], "u-piece-sub": [0, 1]}
+        ch = ring.add(u_plus_dual, u_minus, scales=scales[name])
     _, dual, (a, b), _ = SPECS[name]
     if dual:
         ch = ring.dual(ch)
@@ -52,19 +56,23 @@ def oracle_kernel(name: str) -> tuple[PolyRing, dict]:
     return ring, ring.mul(ch, twist)
 
 
-@pytest.mark.parametrize("name", list(KERNELS))
+def test_the_specs_cover_the_kernel_table():
+    assert list(SPECS) == list(_KERNELS)
+
+
+@pytest.mark.parametrize("name", list(SPECS))
 def test_kernel_matches_oracle(name):
-    K = KERNELS[name]()
+    K = kernel(name)
     slot, _, _, parity = SPECS[name]
-    ring, kernel = oracle_kernel(name)
+    ring, character = oracle_kernel(name)
     assert tuple(f.name for f in K.product.factors) == ring.factors
     assert K.source is K.product.factors[slot]
-    assert K.kernel_ch.coeffs == ring.to_labels(kernel)
+    assert K.kernel_ch.coeffs == ring.to_labels(character)
 
     src, tgt = PolyRing((ring.factors[slot],)), PolyRing((ring.factors[1 - slot],))
     td = src.from_labels(FACTOR_TODD[ring.factors[slot]])
     for label in K.source.basis:
         pulled = ring.lift(slot, src.mul(src.from_labels({label: 1}), td))
-        image = ring.push(slot, ring.mul(pulled, kernel))
+        image = ring.push(slot, ring.mul(pulled, character))
         expected = tgt.to_labels(tgt.add(image, scales=[parity]))
         assert transform(K, CohClass.basis_class(K.source, label)).coeffs == expected, label

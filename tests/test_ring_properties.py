@@ -94,7 +94,7 @@ def test_chi_matches_oracle(name, data):
 @given(data=st.data())
 def test_transform_matches_oracle(name, data):
     # the kernel's transform rows against lift, multiply, fibre-integrate, parity
-    K = mukai.KERNELS[name]()
+    K = mukai.kernel(name)
     a = draw_class(data, K.source)
     out = mukai.transform(K, a)
     assert out.model is K.target
@@ -116,7 +116,7 @@ def test_transform_of_any_kernel_matches_oracle(name, data):
 
 @pytest.mark.parametrize("name", list(mukai.KERNELS))
 def test_transform_matrix_holds_the_basis_images(name):
-    K = mukai.KERNELS[name]()
+    K = mukai.kernel(name)
     expected = [[transform_oracle(K, CohClass.basis_class(K.source, l)).coefficient(l2)
                  for l2 in K.target.basis] for l in K.source.basis]
     mat = mukai.transform_matrix(K)
@@ -249,7 +249,7 @@ def test_threefold_curve_adjunction(data):
     # chi(Phi1 b, a) = chi(b, Phi1^! a)
     X, C = model_x(), model_curve()
     a, b = draw_class(data, X), draw_class(data, C)
-    phi1, phi1s = mukai.kernel_phi1(), mukai.kernel_phi1_shriek()
+    phi1, phi1s = mukai.kernel("phi1"), mukai.kernel("phi1-shriek")
     assert chi(X, mukai.transform(phi1, b), a) \
         == chi(C, b, mukai.transform(phi1s, a))
 
@@ -260,7 +260,7 @@ def test_k3_pair_adjunction(data):
     # chi(Phi2^* a, b) = chi(a, Phi2 b)
     S, Sd = model_s(), model_sdual()
     a, b = draw_class(data, S), draw_class(data, Sd)
-    phi2, phi2l = mukai.kernel_phi2(), mukai.kernel_phi2_left()
+    phi2, phi2l = mukai.kernel("phi2"), mukai.kernel("phi2-left")
     assert chi(Sd, mukai.transform(phi2l, a), b) \
         == chi(S, a, mukai.transform(phi2, b))
 
