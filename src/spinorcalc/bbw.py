@@ -84,10 +84,6 @@ class CohomologyTable:
         object.__setattr__(t, "entries", entries)
         return t
 
-    @classmethod
-    def zero(cls) -> "CohomologyTable":
-        return cls(())
-
     def dims(self) -> dict[int, int]:
         return dict(self.entries)
 
@@ -357,13 +353,13 @@ def build_bundle(tree: tuple) -> HomogBundle:
     raise ValueError(f"malformed bundle tree {tree!r}")
 
 
-def make_bundle(expr: Union[str, tuple, HomogBundle]) -> HomogBundle:
-    """Build a bundle from an expression string (or an already parsed tree)."""
+def make_bundle(expr: Union[str, HomogBundle]) -> HomogBundle:
+    """Build a bundle from an expression string; a bundle passes through."""
     if isinstance(expr, HomogBundle):
         return expr
-    if isinstance(expr, str):
-        return build_bundle(parse_bundle_expr(expr))
-    return build_bundle(expr)
+    if not isinstance(expr, str):
+        raise TypeError(f"a bundle is built from text or a HomogBundle, got {expr!r}")
+    return build_bundle(parse_bundle_expr(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,11 @@ def _gram_collection(tokens: str) -> tuple[list[tuple[str, CohClass]], list[int]
 _SHARED: dict[str, Callable[[_Memo], object]] = {
     "c(E1)": lambda m: intersect.universal_ch(intersect.x_times_curve()).chern_classes(),
     "stated c(E1)": lambda m: _stated_c1_c2_threefold_curve(),
-    "eta^2": lambda m: intersect.eta_square_solve(),
     "collection": lambda m: _gram_collection("u,o,phi1"),
     "gram": lambda m: mukai.gram(m["collection"][0], intersect.model_x(),
                                  blocks=m["collection"][1]),
     "mutated": lambda m: mukai.mutate(mukai.class_u_plus(), CohClass.unit(intersect.model_x()),
-                                      intersect.model_x(), "right"),
+                                      intersect.model_x()),
     "orthogonal basis": lambda m: mukai.orthogonal_complement_basis(),
 }
 
@@ -293,8 +292,9 @@ SUITES: dict[str, tuple[_Record, ...]] = {
         _Record("universal-c2-k3-pair", "c2 = (7/12) H_S H_Sd + 5 P_S + 5 P_Sd", None,
                 _universal_c2_k3_pair),
         _Record("eta-square", "the formal class squares to 14 (sign as solved)",
-                14, lambda m: abs(m["eta^2"])),
-        _Record("eta-square-sign", "solver sign report", "14", lambda m: str(m["eta^2"])),
+                14, lambda m: abs(intersect.eta_square_solve())),
+        _Record("eta-square-sign", "solver sign report", "14",
+                lambda m: str(intersect.eta_square_solve())),
         _Record("eta-square-guard",
                 "dropping eta breaks the moduli self-pairing (-20/3 instead of 12)",
                 str(Q(-20, 3)), _chi_without_eta),
@@ -435,6 +435,8 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_fm(args) -> int:
+    if args.gram is not None and (args.kernel or args.apply is not None):
+        raise ValueError("fm takes either --gram or --kernel and --apply, not both")
     if args.gram:
         collection, blocks = _gram_collection(args.gram)
         report = mukai.gram(collection, intersect.model_x(), blocks=blocks)

@@ -125,6 +125,8 @@ class CohClass:
         for label, c in (coeffs or {}).items():
             if label not in model.index:
                 raise ValueError(f"unknown basis class {label!r} on {model.name}")
+            if isinstance(c, str):
+                c = read_rational(c)
             values[model.index[label]] = c if type(c) is int else Q(c)
         self.model = model
         self.num, self.den = _reduced(*_over_common_den(values))
@@ -187,7 +189,7 @@ class CohClass:
 
     def scale(self, t: Union[Q, int, str]) -> "CohClass":
         if not isinstance(t, (int, Q)):
-            t = Q(t)
+            t = read_rational(t) if isinstance(t, str) else Q(t)
         n, d = t.numerator, t.denominator
         if d != 1:
             return CohClass._make(self.model, *_reduced([n * a for a in self.num], self.den * d))

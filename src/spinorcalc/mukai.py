@@ -295,20 +295,10 @@ def gram(collection: Sequence[tuple[str, CohClass]], model: RingModel,
     return GramReport(labels, matrix, sizes, exceptional, semi)
 
 
-def mutate(a: CohClass, through: CohClass, model: RingModel,
-           direction: Literal["left", "right"]) -> CohClass:
-    """Class-level mutation: the chi-weighted reflection through an object.
-
-    Right mutation uses chi(a, through), left mutation chi(through, a);
-    mutating through an orthogonal object returns the class up to sign.
-    """
-    if direction == "right":
-        c = chi(model, a, through)
-    elif direction == "left":
-        c = chi(model, through, a)
-    else:
-        raise ValueError("direction must be left or right")
-    out = through.scale(c) - a
+def mutate(a: CohClass, through: CohClass, model: RingModel) -> CohClass:
+    """Class-level right mutation: the reflection chi(a, through) through - a;
+    mutating through an orthogonal object returns the class up to sign."""
+    out = through.scale(chi(model, a, through)) - a
     if out.coefficient(model.basis[0]).denominator != 1:
         raise ArithmeticError("mutation produced a non-integral rank")
     return out

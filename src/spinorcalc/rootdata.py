@@ -11,9 +11,10 @@ A weight is stored as its doubled coordinates, a tuple of plain ints in
 which half-integers are the odd numbers, and every computation here runs
 on those ints.  Fractions appear only at the edges: when a weight is built
 from, or read back as, rationals, and when it is parsed from or printed as
-text.  The arithmetic stays exact; no floating point enters anywhere.  All
-functions are pure; the memo caches are observationally pure, so
-concurrent use is safe.
+text; text becomes a rational only through ``read_rational``, which bounds
+its size.  The arithmetic stays exact; no floating point enters anywhere.
+All functions are pure; the one memo, of Littlewood-Richardson products,
+is observationally pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class Weight:
     Coordinates must all be integers or all half-odd-integers; mixing the
     two parity classes is a constructor-time error, since it always
     indicates a caller bug (no irreducible summand mixes them).  The
-    constructor takes ints, Fractions or strings such as ``"-3/2"``; ``coords``,
-    iteration and indexing give the coordinates back as Fractions, while
-    ``twice`` holds the doubled coordinates as ints.  Weights are immutable.
+    constructor takes ints, Fractions or strings such as ``"-3/2"``, which
+    go through ``read_rational``; ``coords``, iteration and indexing give the
+    coordinates back as Fractions, while ``twice`` holds the doubled
+    coordinates as ints.  Weights are immutable.
     """
 
     twice: tuple[int, ...]
@@ -103,7 +105,7 @@ class Weight:
         cs = []
         for c in coords:
             if isinstance(c, str):
-                c = Fraction(c)
+                c = read_rational(c)
             elif not isinstance(c, (int, Fraction)):
                 raise TypeError(f"cannot build an exact coordinate from {c!r}")
             cs.append(c)
@@ -251,23 +253,18 @@ def _root_pairings(v: tuple[int, ...], flavor: Flavor) -> int:
 _WEYL_DENOMINATOR = {flavor: _root_pairings(_RHO2, flavor) for flavor in ("D5", "GL5")}
 
 
-@functools.lru_cache(maxsize=None)
-def _weyl_dim_cached(twice: tuple[int, ...], flavor: Flavor) -> int:
-    # numerator and denominator both pair twice the vector with every root,
-    # so the factors of 2 cancel
-    num = _root_pairings(tuple(a + b for a, b in zip(twice, _RHO2)), flavor)
-    den = _WEYL_DENOMINATOR[flavor]
-    d, rest = divmod(num, den)
-    if rest or d <= 0:
-        raise ArithmeticError(f"Weyl dimension of {_halves(twice)} came out as {Fraction(num, den)}")
-    return d
-
-
 def weyl_dim(lam: Weight, flavor: Flavor) -> int:
     """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots."""
     if not is_dominant(lam, flavor):
         raise ValueError(f"{lam} is not {flavor}-dominant")
-    return _weyl_dim_cached(lam.twice, flavor)
+    # numerator and denominator both pair twice the vector with every root,
+    # so the factors of 2 cancel
+    num = _root_pairings(tuple(a + b for a, b in zip(lam.twice, _RHO2)), flavor)
+    den = _WEYL_DENOMINATOR[flavor]
+    d, rest = divmod(num, den)
+    if rest or d <= 0:
+        raise ArithmeticError(f"Weyl dimension of {lam.coords} came out as {Fraction(num, den)}")
+    return d
 
 
 @functools.lru_cache(maxsize=None)

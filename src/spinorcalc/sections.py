@@ -12,10 +12,11 @@ building the page, and the same record keeps the result of each codimension.
 With E_d the page total in degree d = q - p and y_d the rank of the
 differentials from degree d to d + 1, h^d = E_d - y_{d-1} - y_d; y_d = 0
 unless a cell of degree d has a larger p than one of degree d + 1, and
-h^d = 0 outside the degrees 0..dim of the section.  ``_chain`` bounds the
-y_d: the table is ``exact`` when every h^d is pinned, else ``euler_only``
-with upper bounds.  The Euler characteristic is the alternating page sum
-either way.
+h^d = 0 outside the degrees 0..dim of the section.  With two or more page
+degrees in 0..dim, ``_chain`` bounds the y_d: the table is ``exact`` when
+every h^d is pinned, else ``euler_only`` with upper bounds; with at most one,
+the Euler characteristic pins that degree and one scan checks the page.  The
+Euler characteristic is the alternating page sum either way.
 
 The splice solver extracts the unknown term of a 3- or 4-term exact
 sequence of sheaves from the known cohomology tables with the same chain,
@@ -128,17 +129,13 @@ def _cells(b: HomogBundle, codim: int, memo: list) -> list[Cell]:
     return cells
 
 
-def _page(cells: Sequence[Cell], weights: Sequence[int]) -> dict[tuple[int, int], int]:
-    """The page (p, q) -> dim of the cells with p < len(weights), column p weighted
-    ``weights[p]``."""
-    return {(p, d + p): weights[p] * n for p, d, n in cells if p < len(weights)}
-
-
 def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
     """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
-    return _page(_cells(b, codim, _column_memo(b._base, b._shift)), _BINOMIALS[codim])
+    weights = _BINOMIALS[codim]
+    return {(p, d + p): weights[p] * n
+            for p, d, n in _cells(b, codim, _column_memo(b._base, b._shift)) if p <= codim}
 
 
 def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
@@ -182,15 +179,8 @@ def _section_result(b: HomogBundle, codim: int, cells: Sequence[Cell],
     # A differential maps (p, q) to (p - r, q - r + 1), r >= 1: it raises d by one and lowers
     # p, so y_d is 0 unless d joins, that is most[d] > least[d + 1].
     if len(in_range) > 1:
-        joinable = {d for d, p in most.items() if p > least.get(d + 1, p)}
-        if not joinable:   # E1 = E_infinity
-            if len(in_range) < len(totals):
-                raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
-                                      f"h^d = 0 outside [0, {top}]: {_page(cells, weights)}")
-            # every degree is in [0, top] and every total is positive
-            return SectionResult("exact", CohomologyTable._canonical(tuple(sorted(totals.items()))),
-                                 euler)
         # h^d = E_d - y_{d-1} - y_d, with h^d >= 0 on [0, top] and h^d = 0 outside it
+        joinable = {d for d, p in most.items() if p > least.get(d + 1, p)}
         degrees = range(min(totals), max(totals) + 1)
         e = [totals.get(d, 0) for d in degrees]
         sums = _chain([0 if 0 <= d <= top else n for d, n in zip(degrees, e)], e,

@@ -91,6 +91,12 @@ class TestParser:
         with pytest.raises(BundleExprError):
             parse_bundle_expr("O(1))")
 
+    def test_make_bundle_takes_text_or_a_bundle(self):
+        assert make_bundle(U()) == make_bundle("U")
+        with pytest.raises(TypeError) as err:
+            make_bundle(parse_bundle_expr("U"))
+        assert str(err.value) == "a bundle is built from text or a HomogBundle, got ('atom', 'U')"
+
     def test_whitespace_insensitive(self):
         assert make_bundle(" dual( U ) * U ( -1 ) ") == make_bundle("dual(U)*U(-1)")
 

@@ -244,12 +244,34 @@ class TestFMCommand:
     def test_missing_args_exit_1(self, capsys):
         assert invoke(capsys, "fm", "--kernel", "phi1")[0] == 1
 
+    @pytest.mark.parametrize("extra", [("--kernel", "phi1", "--apply", "pt"),
+                                       ("--kernel", "phi1"), ("--apply", "pt")],
+                             ids=["kernel-and-apply", "kernel", "apply"])
+    def test_gram_with_kernel_or_apply_exit_1(self, capsys, monkeypatch, extra):
+        # neither flag is dropped silently, and the refusal comes before any class is built
+        monkeypatch.setattr(cli, "_gram_collection", lambda tokens: pytest.fail("class built"))
+        code, out, err = invoke(capsys, "fm", "--gram", "u", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: fm takes either --gram or --kernel and --apply, not both\n"
+
+    def test_gram_rejects_a_phi1_image_of_nonzero_rank(self, capsys, monkeypatch):
+        # a transform that returns its input makes Phi1(O_C) the rank-1 O_C
+        monkeypatch.setattr(mukai, "transform", lambda kernel, cls: cls)
+        code, out, err = invoke(capsys, "fm", "--gram", "phi1")
+        assert (code, out, err) == (1, "", "error: Phi1(O_C) has rank 1, not 0\n")
+
 
 class TestVerifyCommand:
     def test_all_passes(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "all")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError) as err:
+            verify_suite("bogus")
+        assert str(err.value) == ("unknown suite 'bogus'; "
+                                  "choose from all, bbw, koszul, cherns, sod, conics")
 
     def test_suite_union(self):
         union = []

@@ -1,10 +1,11 @@
-"""Every name a spinorcalc module imports is used in that module.
+"""Every name a spinorcalc module imports is used in that module, and every
+private name a module defines at module level is read somewhere in the package.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name bound by ``import`` or ``from ... import`` must appear as a name
 somewhere else in the module, also inside a string annotation such as
-``-> "Weight"``.  ``__init__.py`` is left out, since its imports are the
-package's re-exports, and so are ``from __future__`` imports.
+``-> "Weight"``.  ``__init__.py`` is left out of that check, since its
+imports are the package's re-exports, and so are ``from __future__`` imports.
 """
 
 import ast
@@ -64,3 +65,61 @@ def test_an_unused_import_is_found():
                      "class A:\n"
                      "    def f(self) -> 'os.PathLike': ...\n")
     assert set(imported_names(tree)) - used_names(tree) == {"field"}
+
+
+
+def private_definitions(stmt: ast.stmt) -> set[str]:
+    """The private names (``_name``, not dunder) a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def dead_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """module -> the private names it binds at module level that the package never reads.
+
+    A bare name counts as read in its own module, outside the statements that
+    bind it, so recursion alone does not keep a function alive; an attribute
+    (``intersect._apply``) or an imported name counts in every module."""
+    anywhere: set[str] = set()
+    local: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        local[module] = set()
+        for stmt in tree.body:
+            local[module] |= used_names(stmt) - private_definitions(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    anywhere.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    anywhere |= {alias.name for alias in node.names}
+    dead = {}
+    for module, tree in trees.items():
+        orphans = set().union(*map(private_definitions, tree.body)) - local[module] - anywhere
+        if orphans:
+            dead[module] = orphans
+    return dead
+
+
+def test_every_private_name_is_used():
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(trees) == {}
+
+
+def test_an_orphaned_private_name_is_found():
+    trees = {"a.py": ast.parse("_LIMIT = 3\n"
+                               "def _helper(n):\n"
+                               "    return _helper(n - 1) if n else _LIMIT\n"
+                               "def _orphan():\n"
+                               "    return _orphan()\n"
+                               "_ALIAS = _CONST = 1\n"
+                               "_Hint = int\n"),
+             "b.py": ast.parse("from .a import _helper\n"
+                               "import a\n"
+                               "_LIMIT: '_Hint' = a._ALIAS\n")}
+    assert dead_private_names(trees) == {"a.py": {"_orphan", "_CONST", "_Hint"},
+                                         "b.py": {"_LIMIT"}}

@@ -101,6 +101,12 @@ class TestTodd:
         assert todd(model_s()).integrate() == 2
         assert todd(model_curve()).integrate() == -6
 
+    @pytest.mark.parametrize("label", ["1", "H"])
+    def test_exp_needs_positive_codimension(self, label):
+        a = CohClass.unit(model_x()) + CohClass.basis_class(model_x(), label)
+        with pytest.raises(ValueError, match=r"^exp requires a class of positive codimension$"):
+            exp_class(a)
+
     def test_riemann_roch_matches_koszul(self):
         X = model_x()
         for k in range(-5, 6):
@@ -447,6 +453,16 @@ class TestColdMaps:
         assert len(rebuilt) == 1
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 1, -2]], "underdetermined ansatz equations"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "inconsistent ansatz equations"),
+    ([[1, 0, 0], [0, 0, 1]], "inconsistent ansatz equations"),
+], ids=["plane", "no-kernel", "kernel-at-infinity"])
+def test_solve_linear_errors(rows, message):
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        intersect._solve_linear(rows)
+
+
 class TestBasisClass:
     @pytest.mark.parametrize("coeff", [1, 0, -7, 12, Q(3, 4), Q(6, 3), "5/10", "-2", True])
     def test_matches_the_general_constructor(self, coeff):
@@ -465,6 +481,15 @@ class TestBasisClass:
     def test_malformed_coefficient(self):
         with pytest.raises(ValueError):
             CohClass.basis_class(model_x(), "H", "x")
+
+    def test_text_coefficients_are_read_within_the_size_bound(self):
+        # Fraction(str) has no size bound; every text coefficient goes through read_rational
+        for build in (lambda: CohClass(model_x(), {"P": "1e300"}),
+                      lambda: CohClass.basis_class(model_x(), "P", "1e300"),
+                      lambda: CohClass.unit(model_x()).scale("1e300")):
+            with pytest.raises(RationalSyntaxError, match=r"^exponent too large in '1e300'$"):
+                build()
+        assert CohClass.unit(model_x()).scale("3/4") == CohClass(model_x(), {"1": Q(3, 4)})
 
 
 class TestChiErrors:

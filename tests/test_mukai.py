@@ -88,6 +88,15 @@ class TestTransform:
         K = KernelSpec("zero", prod, "right", CohClass.zero(prod), 1)
         assert transform(K, point_class(model_curve())).is_zero
 
+    @pytest.mark.parametrize("model, parity, message", [
+        (model_x, 1, "kernel class must live on the product model"),
+        (x_times_curve, 0, "shift parity must be +1 or -1"),
+    ], ids=["model", "parity"])
+    def test_kernel_spec_validation(self, model, parity, message):
+        with pytest.raises(ValueError) as err:
+            KernelSpec("bad", x_times_curve(), "right", CohClass.zero(model()), parity)
+        assert str(err.value) == message
+
     def test_additive_in_class(self):
         K = kernel("phi1")
         a = CohClass.basis_class(model_curve(), "pt", 3)
@@ -195,7 +204,7 @@ class TestGram:
         assert report.semiorthogonal
 
     def test_mutated_pair(self):
-        mutated = mutate(class_u_plus(), CohClass.unit(X()), X(), "right")
+        mutated = mutate(class_u_plus(), CohClass.unit(X()), X())
         report = gram([("O_X", CohClass.unit(X())), ("dual(U)", mutated)], X())
         assert report.matrix == ((1, 10), (0, 1))
         assert report.semiorthogonal and all(report.exceptional)
@@ -236,22 +245,22 @@ class TestMutate:
     def test_orthogonal_returns_sign(self):
         # Phi1(pt) is orthogonal to O in both directions of the pairing used
         a = class_e1y()
-        out = mutate(a, CohClass.unit(X()), X(), "right")
+        out = mutate(a, CohClass.unit(X()), X())
         assert out == -1 * a
 
     def test_right_mutation_through_structure_sheaf(self):
-        out = mutate(class_u_plus(), CohClass.unit(X()), X(), "right")
+        out = mutate(class_u_plus(), CohClass.unit(X()), X())
         assert out == class_u_plus_dual()
         assert out.rank == 5
 
     def test_non_integral_rank(self):
         # chi(P/2, O) = 1/2, so the reflection of P/2 through O has rank 1/2
         with pytest.raises(ArithmeticError, match="mutation produced a non-integral rank"):
-            mutate(CohClass(X(), {"P": Q(1, 2)}), CohClass.unit(X()), X(), "right")
+            mutate(CohClass(X(), {"P": Q(1, 2)}), CohClass.unit(X()), X())
 
     def test_double_mutation_on_orthogonal(self):
         a = class_e1y()
-        twice = mutate(mutate(a, CohClass.unit(X()), X(), "right"), CohClass.unit(X()), X(), "right")
+        twice = mutate(mutate(a, CohClass.unit(X()), X()), CohClass.unit(X()), X())
         assert twice == a
 
 

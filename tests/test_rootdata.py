@@ -10,6 +10,7 @@ from spinorcalc.rootdata import (
     RHO,
     SPINOR,
     VECTOR,
+    RationalSyntaxError,
     Weight,
     WeightSyntaxError,
     bbw_regularize,
@@ -82,6 +83,23 @@ class TestWeight:
     def test_rejects_inexact_coordinates(self):
         with pytest.raises(TypeError):
             Weight((0.5,) * 5)
+
+    def test_text_coordinates_are_read_within_the_size_bound(self):
+        # text goes through read_rational: Fraction("1e10000000") takes seconds to build
+        with pytest.raises(RationalSyntaxError, match=r"^exponent too large in '1e300'$"):
+            Weight(("1e300", 0, 0, 0, 0))
+        with pytest.raises(RationalSyntaxError, match=r"^not a rational number: 'nan'$"):
+            Weight(("nan", 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("twice, message", [
+        ((2, 0, 0, 0), "expected 5 coordinates, got 4"),
+        ((1, 0, 0, 0, 0), "mixed integer/half-integer coordinates: (Fraction(1, 2), "
+                          "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"),
+    ], ids=["length", "parity"])
+    def test_from_twice_validation(self, twice, message):
+        with pytest.raises(ValueError) as err:
+            Weight._from_twice(twice)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("text", ["a,b,c,d,e", "1,2", "1,0,0,0,0,0", "1/0,0,0,0,0",
                                       "1//2,0,0,0,0", "\u0661,0,0,0,0"])
