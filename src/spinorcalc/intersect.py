@@ -115,6 +115,16 @@ class RingModel:
         return f"RingModel({self.name})"
 
 
+def _exact(c: Union[Q, int, str]) -> Union[Q, int]:
+    """An exact coefficient: an int or Fraction as given, text through
+    ``read_rational``; anything else, floats and bools too, is a TypeError."""
+    if isinstance(c, str):
+        return read_rational(c)
+    if isinstance(c, bool) or not isinstance(c, (int, Q)):
+        raise TypeError(f"cannot build an exact coordinate from {c!r}")
+    return c
+
+
 class CohClass:
     """A rational class over a fixed ring model: ``num[i] / den`` on basis class i."""
 
@@ -125,8 +135,7 @@ class CohClass:
         for label, c in (coeffs or {}).items():
             if label not in model.index:
                 raise ValueError(f"unknown basis class {label!r} on {model.name}")
-            if isinstance(c, str):
-                c = read_rational(c)
+            c = _exact(c)
             values[model.index[label]] = c if type(c) is int else Q(c)
         self.model = model
         self.num, self.den = _reduced(*_over_common_den(values))
@@ -188,8 +197,8 @@ class CohClass:
         return CohClass._make(self.model, tuple([-a for a in self.num]), self.den)
 
     def scale(self, t: Union[Q, int, str]) -> "CohClass":
-        if not isinstance(t, (int, Q)):
-            t = read_rational(t) if isinstance(t, str) else Q(t)
+        if type(t) is not int and type(t) is not Q:
+            t = _exact(t)
         n, d = t.numerator, t.denominator
         if d != 1:
             return CohClass._make(self.model, *_reduced([n * a for a in self.num], self.den * d))

@@ -13,8 +13,9 @@ on those ints.  Fractions appear only at the edges: when a weight is built
 from, or read back as, rationals, and when it is parsed from or printed as
 text; text becomes a rational only through ``read_rational``, which bounds
 its size.  The arithmetic stays exact; no floating point enters anywhere.
-All functions are pure; the one memo, of Littlewood-Richardson products,
-is observationally pure, so concurrent use is safe.
+All functions are pure; the two memos, of Littlewood-Richardson products
+and of the horizontal strips they are built from, are observationally pure,
+so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from operator import ge
+from operator import add, ge
 from typing import Iterable, Iterator, Literal, Optional
 
 Flavor = Literal["D5", "GL5"]
@@ -268,47 +269,46 @@ def weyl_dim(lam: Weight, flavor: Flavor) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every horizontal strip of ``size`` boxes on the partition ``shape``
+    within RANK rows, as (new shape, cumulative row counts) pairs."""
+    # room[r]: the most boxes row r takes with the strip staying horizontal
+    room = (size,) + tuple(shape[r - 1] - shape[r] for r in range(1, RANK))
+    partial = [((), size)]          # (boxes per row so far, boxes left)
+    for r in range(RANK - 1):
+        partial = [(rows + (b,), left - b) for rows, left in partial
+                   for b in range(min(room[r], left) + 1)]
+    return tuple((tuple(map(add, shape, full)), tuple(accumulate(full)))
+                 for full in (rows + (left,) for rows, left in partial if left <= room[-1]))
+
+
+@functools.lru_cache(maxsize=None)
 def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Littlewood-Richardson expansion of two partitions, truncated to 5 rows.
 
     Returns (doubled shape, multiplicity) pairs, shapes in decreasing order;
     every doubled entry is even.
-    Enumerates chains of horizontal strips subject to the ballot condition:
-    the boxes added for letter i+1 within the first r+1 rows never exceed
-    the boxes of letter i within the first r rows.
+    Adds the letters of mu one at a time, each as a horizontal strip, under
+    the ballot condition: letter i+1 puts no more boxes in rows 0..r+1 than
+    letter i put in rows 0..r.  A state is (shape, caps), caps[r] being the
+    most boxes the next letter may put in rows 0..r; it maps to the number
+    of partial tableaux that reach it, so equal states are extended once.
     """
+    states = {(lam, (sum(mu),) * RANK): 1}
+    for size in filter(None, mu):
+        reached: dict = {}
+        for (shape, (c0, c1, c2, c3, c4)), n in states.items():
+            if size > c4:
+                continue
+            for new, (b0, b1, b2, b3, _) in _strips(shape, size):
+                if b0 <= c0 and b1 <= c1 and b2 <= c2 and b3 <= c3:
+                    key = (new, (0, b0, b1, b2, b3))
+                    reached[key] = reached.get(key, 0) + n
+        states = reached
     out: Counter = Counter()
-    letters = [m for m in mu if m > 0]
-
-    def add_letter(shape: tuple[int, ...], caps: tuple[int, ...], idx: int) -> None:
-        # caps[r]: the most boxes this letter may put in rows 0..r (ballot)
-        if idx == len(letters):
-            out[shape] += 1
-            return
-        size = letters[idx]
-        if size > caps[-1]:
-            return
-        # room[r]: the most boxes row r takes with the strip staying
-        # horizontal; below[r]: the most the rows after r take together
-        room = (size,) + tuple(shape[r - 1] - shape[r] for r in range(1, RANK))
-        below = tuple(accumulate(reversed(room)))[-2::-1] + (0,)
-        rows = [0] * RANK
-
-        def place(r: int, remaining: int, placed: int) -> None:
-            if r == RANK - 1:
-                rows[r] = remaining
-                cum = tuple(accumulate(rows))
-                add_letter(tuple(s + b for s, b in zip(shape, rows)), (0,) + cum[:-1], idx + 1)
-                return
-            for b in range(max(0, remaining - below[r]), min(remaining, room[r], caps[r] - placed) + 1):
-                rows[r] = b
-                place(r + 1, remaining - b, placed + b)
-
-        place(0, size, 0)
-
-    add_letter(tuple(lam), (sum(mu),) * RANK, 0)
-    return tuple(sorted(((tuple(2 * c for c in shape), m) for shape, m in out.items()),
-                        reverse=True))
+    for (shape, _), n in states.items():
+        out[tuple(2 * c for c in shape)] += n
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def tensor_decompose(lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:

@@ -2,7 +2,8 @@
 
 Deliberately different algorithms from the implementation: the Weyl group
 is enumerated element by element, weight multiplicities come from
-Gelfand-Tsetlin patterns, and tensor products use the Klimyk formula;
+Gelfand-Tsetlin patterns, tensor products use the Klimyk formula, and
+horizontal strips are found among all shapes in a box around the partition;
 bundle products are formed summand by summand, against the product memo
 on untwisted bases.  The cohomology rings are recomputed as truncated
 polynomial rings in the hyperplane variables, from the relations stated in
@@ -137,6 +138,22 @@ def gt_weight_multiplicities(top: tuple[int, ...]) -> Counter:
 
     descend(tuple(top), [])
     return weights
+
+
+def horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every horizontal strip of ``size`` boxes on the partition ``shape`` in five
+    rows, as sorted (new shape, cumulative boxes added in rows 0..r) pairs.
+
+    Brute force over the shapes nu with shape[i] <= nu[i] <= shape[i] + size:
+    nu/shape is a horizontal strip when nu[i+1] <= shape[i] for every i.
+    """
+    assert len(shape) == 5
+    out = []
+    for nu in product(*(range(row, row + size + 1) for row in shape)):
+        if sum(nu) - sum(shape) == size and all(nu[i + 1] <= shape[i] for i in range(4)):
+            added = [n - row for n, row in zip(nu, shape)]
+            out.append((nu, tuple(sum(added[:r + 1]) for r in range(5))))
+    return sorted(out)
 
 
 @functools.lru_cache(maxsize=None)

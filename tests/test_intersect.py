@@ -468,6 +468,14 @@ class TestBasisClass:
     def test_matches_the_general_constructor(self, coeff):
         for m in ALL_MODELS():
             for label in m.basis:
+                if coeff is True:
+                    # a boolean is no exact coefficient: both constructors refuse it alike
+                    for build in (lambda: CohClass.basis_class(m, label, coeff),
+                                  lambda: CohClass(m, {label: coeff})):
+                        with pytest.raises(TypeError,
+                                           match=r"^cannot build an exact coordinate from True$"):
+                            build()
+                    continue
                 a = CohClass.basis_class(m, label, coeff)
                 b = CohClass(m, {label: coeff})
                 assert (a.num, a.den) == (b.num, b.den)
@@ -563,3 +571,24 @@ def test_from_json_rejects_inexact_values(data, error, message):
 def test_from_json_takes_exact_numbers():
     assert CohClass.from_json(model_curve(), {"1": 2, "pt": Q(-1, 3)}) \
         == CohClass(model_curve(), {"1": 2, "pt": Q(-1, 3)})
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True, False], ids=repr)
+def test_constructor_and_scale_reject_floats_and_booleans(value):
+    unit = CohClass.unit(model_x())
+    for build in (lambda: CohClass(model_x(), {"P": value}), lambda: unit.scale(value),
+                  lambda: value * unit, lambda: unit * value,
+                  lambda: CohClass.basis_class(model_x(), "P", value)):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == f"cannot build an exact coordinate from {value!r}"
+
+
+def test_constructor_and_scale_take_ints_fractions_and_text():
+    X = model_x()
+    tenth = CohClass(X, {"P": Q(1, 10)})
+    assert CohClass(X, {"P": "0.1"}) == tenth == CohClass.basis_class(X, "P", "1/10")
+    assert CohClass.basis_class(X, "P").scale("0.1") == tenth
+    assert CohClass.basis_class(X, "P").scale(Q(1, 10)) == tenth
+    assert CohClass(X, {"P": 3}) == 3 * CohClass.basis_class(X, "P") \
+        == CohClass.basis_class(X, "P").scale(3)

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import klimyk_tensor, orbit_size_d5, regularize_oracle
+from oracles import horizontal_strips, klimyk_tensor, orbit_size_d5, regularize_oracle
+from spinorcalc import rootdata
 from spinorcalc.rootdata import (
     RHO,
     SPINOR,
@@ -279,3 +282,39 @@ class TestTensor:
                 twice = [w.twice for w, _ in dec]
                 assert all(a > b for a, b in zip(twice, twice[1:])), (lam, mu)
 
+
+def box_shapes(maxentry: int) -> list[tuple[int, ...]]:
+    return [tuple(c) for c in combinations_with_replacement(range(maxentry, -1, -1), 5)]
+
+
+class TestLittlewoodRichardson:
+    def test_strips_match_the_oracle(self):
+        for shape in box_shapes(6):
+            for size in range(1, 5):
+                strips = rootdata._strips(shape, size)
+                assert len(set(strips)) == len(strips), (shape, size)
+                assert sorted(strips) == horizontal_strips(shape, size), (shape, size)
+
+    def test_products_in_both_argument_orders(self):
+        # tensor_decompose always places the smaller partition's letters; the
+        # unmemoized enumeration must give the same expansion either way round
+        lr = rootdata._lr_products.__wrapped__
+        box = box_shapes(4)
+        pairs = [(lam, mu) for i, lam in enumerate(box) for mu in box[i:]]
+        sample = set(random.Random(22).sample(pairs, 150))
+        for lam, mu in pairs:
+            forward = lr(lam, mu)
+            assert forward == lr(mu, lam), (lam, mu)
+            if (lam, mu) in sample:
+                expected = klimyk_tensor(Weight(lam), Weight(mu))
+                assert {Weight._from_twice(shape): m for shape, m in forward} == expected, (lam, mu)
+
+    def test_a_cold_box_sweep_keeps_the_strip_table_small(self):
+        rootdata._lr_products.cache_clear()
+        rootdata._strips.cache_clear()
+        box = box_partitions(3)
+        for lam in box:
+            for mu in box:
+                tensor_decompose(lam, mu)
+        assert isinstance(rootdata._strips, functools._lru_cache_wrapper)
+        assert 0 < rootdata._strips.cache_info().currsize < 1000
