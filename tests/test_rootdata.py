@@ -23,8 +23,12 @@ from spinorcalc.rootdata import (
 )
 
 
+def box_shapes(maxentry: int) -> list[tuple[int, ...]]:
+    return list(combinations_with_replacement(range(maxentry, -1, -1), 5))
+
+
 def box_partitions(maxentry: int) -> list[Weight]:
-    return [Weight(c) for c in combinations_with_replacement(range(maxentry, -1, -1), 5)]
+    return [Weight(c) for c in box_shapes(maxentry)]
 
 
 class TestWeight:
@@ -281,10 +285,6 @@ class TestTensor:
                     assert all(type(d) is int for d in w.twice)
                 twice = [w.twice for w, _ in dec]
                 assert all(a > b for a, b in zip(twice, twice[1:])), (lam, mu)
-
-
-def box_shapes(maxentry: int) -> list[tuple[int, ...]]:
-    return [tuple(c) for c in combinations_with_replacement(range(maxentry, -1, -1), 5)]
 
 
 class TestLittlewoodRichardson:
