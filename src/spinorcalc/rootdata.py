@@ -25,8 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import add, ge
+from itertools import combinations
 from typing import Iterable, Iterator, Literal, Optional
 
 Flavor = Literal["D5", "GL5"]
@@ -94,10 +93,10 @@ class Weight:
     Coordinates must all be integers or all half-odd-integers; mixing the
     two parity classes is a constructor-time error, since it always
     indicates a caller bug (no irreducible summand mixes them).  The
-    constructor takes ints, Fractions or strings such as ``"-3/2"``, which
-    go through ``read_rational``; ``coords``, iteration and indexing give the
-    coordinates back as Fractions, while ``twice`` holds the doubled
-    coordinates as ints.  Weights are immutable.
+    constructor takes ints (a bool is refused), Fractions or strings such
+    as ``"-3/2"``, which go through ``read_rational``; ``coords``, iteration
+    and indexing give the coordinates back as Fractions, while ``twice``
+    holds the doubled coordinates as ints.  Weights are immutable.
     """
 
     twice: tuple[int, ...]
@@ -107,7 +106,7 @@ class Weight:
         for c in coords:
             if isinstance(c, str):
                 c = read_rational(c)
-            elif not isinstance(c, (int, Fraction)):
+            elif isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise TypeError(f"cannot build an exact coordinate from {c!r}")
             cs.append(c)
         if len(cs) != RANK:
@@ -201,16 +200,20 @@ SPINOR = Weight((Fraction(1, 2),) * RANK)          # highest weight of the 16-di
 VECTOR = Weight((1, 0, 0, 0, 0))                   # highest weight of the 10-dim vector rep
 
 
+def _gl5_dominant(c: tuple[int, ...]) -> bool:
+    """Whether the doubled coordinates ``c`` are weakly decreasing."""
+    return c[0] >= c[1] >= c[2] >= c[3] >= c[4]
+
+
 def is_dominant(w: Weight, flavor: Flavor) -> bool:
-    """Fundamental-chamber test: weakly decreasing; for D5 also c4 >= |c5|."""
+    """Fundamental-chamber test: weakly decreasing; for D5 also c4 >= |c5|.
+
+    An unknown flavor raises ValueError, whatever the weight.
+    """
+    if flavor != "GL5" and flavor != "D5":
+        raise ValueError(f"unknown flavor {flavor!r}")
     c = w.twice
-    if not all(map(ge, c, c[1:])):
-        return False
-    if flavor == "D5":
-        return c[3] >= abs(c[4])
-    if flavor == "GL5":
-        return True
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return _gl5_dominant(c) and (flavor == "GL5" or c[3] >= abs(c[4]))
 
 
 def bbw_regularize(lam: Weight) -> Optional[tuple[int, Weight]]:
@@ -271,15 +274,26 @@ def weyl_dim(lam: Weight, flavor: Flavor) -> int:
 @functools.lru_cache(maxsize=None)
 def _strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every horizontal strip of ``size`` boxes on the partition ``shape``
-    within RANK rows, as (new shape, cumulative row counts) pairs."""
-    # room[r]: the most boxes row r takes with the strip staying horizontal
-    room = (size,) + tuple(shape[r - 1] - shape[r] for r in range(1, RANK))
-    partial = [((), size)]          # (boxes per row so far, boxes left)
-    for r in range(RANK - 1):
-        partial = [(rows + (b,), left - b) for rows, left in partial
-                   for b in range(min(room[r], left) + 1)]
-    return tuple((tuple(map(add, shape, full)), tuple(accumulate(full)))
-                 for full in (rows + (left,) for rows, left in partial if left <= room[-1]))
+    within RANK rows, as (new shape, cumulative row counts) pairs.
+
+    Row r > 0 takes b_r boxes, at most the gap shape[r-1] - shape[r] so the
+    strip stays horizontal; the loops choose b4, b3, b2, b1 in that order,
+    each bounded by its gap and by the boxes still left, and row 0 takes
+    the rest.  r_k counts the boxes in rows 0..k-1.
+    """
+    s0, s1, s2, s3, s4 = shape
+    out = []
+    for b4 in range(min(s3 - s4, size) + 1):
+        r4 = size - b4
+        for b3 in range(min(s2 - s3, r4) + 1):
+            r3 = r4 - b3
+            for b2 in range(min(s1 - s2, r3) + 1):
+                r2 = r3 - b2
+                for b1 in range(min(s0 - s1, r2) + 1):
+                    b0 = r2 - b1
+                    out.append(((s0 + b0, s1 + b1, s2 + b2, s3 + b3, s4 + b4),
+                                (b0, r2, r3, r4, size)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,13 +311,14 @@ def _lr_products(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple
     states = {(lam, (sum(mu),) * RANK): 1}
     for size in filter(None, mu):
         reached: dict = {}
+        get = reached.get
         for (shape, (c0, c1, c2, c3, c4)), n in states.items():
             if size > c4:
                 continue
             for new, (b0, b1, b2, b3, _) in _strips(shape, size):
                 if b0 <= c0 and b1 <= c1 and b2 <= c2 and b3 <= c3:
                     key = (new, (0, b0, b1, b2, b3))
-                    reached[key] = reached.get(key, 0) + n
+                    reached[key] = get(key, 0) + n
         states = reached
     out: Counter = Counter()
     for (shape, _), n in states.items():
@@ -318,18 +333,27 @@ def tensor_decompose(lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     expands by the Littlewood-Richardson rule, discards anything with more
     than five rows, and restores the combined twist.  Returns the
     (weight, multiplicity) pairs, weights distinct and in decreasing order.
+    A hit in the LR memo is cheap: dominance is read off the doubled
+    coordinates, both argument orders share one memo key, and the returned
+    weights are built from ints that are known to be canonical.
     """
-    for w in (lam, mu):
-        if not is_dominant(w, "GL5"):
-            raise ValueError(f"{w} is not GL5-dominant")
-    a = lam.twice[-1]
-    b = mu.twice[-1]
-    lam_p = tuple((d - a) >> 1 for d in lam.twice)
-    mu_p = tuple((d - b) >> 1 for d in mu.twice)
-    shift = a + b
+    lt = lam.twice
+    mt = mu.twice
+    if not _gl5_dominant(lt):
+        raise ValueError(f"{lam} is not GL5-dominant")
+    if not _gl5_dominant(mt):
+        raise ValueError(f"{mu} is not GL5-dominant")
+    a = lt[4]
+    b = mt[4]
+    lam_p = tuple([(d - a) >> 1 for d in lt])
+    mu_p = tuple([(d - b) >> 1 for d in mt])
     # c^nu_{lam,mu} = c^nu_{mu,lam}: key the LR cache on the pair with the
-    # larger partition first, so the smaller one's letters are placed
-    pair = sorted((lam_p, mu_p), key=lambda p: (sum(p), p), reverse=True)
+    # larger partition first (by size, then entries), so the smaller one's
+    # letters are placed
+    if (sum(lam_p), lam_p) < (sum(mu_p), mu_p):
+        lam_p, mu_p = mu_p, lam_p
+    shift = a + b
+    unchecked = Weight._unchecked
     # the doubled shapes are even, so adding one shift keeps every entry's parity equal
-    return tuple((Weight._unchecked(tuple(map(shift.__add__, shape))), m)
-                 for shape, m in _lr_products(*pair))
+    return tuple([(unchecked(tuple([d + shift for d in shape])), m)
+                  for shape, m in _lr_products(lam_p, mu_p)])

@@ -91,6 +91,14 @@ class TestWeight:
         with pytest.raises(TypeError):
             Weight((0.5,) * 5)
 
+    def test_rejects_bool_coordinates(self):
+        # bool is an int subclass; like CohClass coefficients and bbw twists, a
+        # coordinate refuses it rather than reading True as 1
+        with pytest.raises(TypeError, match=r"^cannot build an exact coordinate from True$"):
+            Weight((True, False, False, False, False))
+        with pytest.raises(TypeError, match=r"^cannot build an exact coordinate from False$"):
+            Weight((1, 0, 0, 0, 0)).shifted(False)
+
     def test_text_coordinates_are_read_within_the_size_bound(self):
         # text goes through read_rational: Fraction("1e10000000") takes seconds to build
         with pytest.raises(RationalSyntaxError, match=r"^exponent too large in '1e300'$"):
@@ -132,6 +140,12 @@ class TestDominance:
         assert not is_dominant(Weight((0, 1, 0, 0, 0)), "GL5")
         assert is_dominant(Weight((1, 0, 0, 0, -1)), "GL5")
         assert not is_dominant(Weight((1, 1, 1, 1, -2)), "D5")
+
+    @pytest.mark.parametrize("coords", [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+                             ids=["in-chamber", "off-chamber"])
+    def test_unknown_flavor_is_refused_before_the_chamber_test(self, coords):
+        with pytest.raises(ValueError, match=r"^unknown flavor 'B7'$"):
+            is_dominant(Weight(coords), "B7")
 
 
 class TestRegularize:
@@ -227,6 +241,15 @@ class TestTensor:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             tensor_decompose(Weight((0, 1, 0, 0, 0)), Weight((0,) * 5))
+
+    @pytest.mark.parametrize("lam, mu, text", [
+        ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), "0,1,0,0,0"),
+        ((1, 0, 0, 0, 0), (Q(1, 2), Q(1, 2), Q(1, 2), Q(3, 2), Q(1, 2)), "1/2,1/2,1/2,3/2,1/2"),
+    ], ids=["first", "second"])
+    def test_rejection_names_the_non_dominant_factor(self, lam, mu, text):
+        with pytest.raises(ValueError) as err:
+            tensor_decompose(Weight(lam), Weight(mu))
+        assert str(err.value) == f"{text} is not GL5-dominant"
 
     def test_multiset_invariants(self):
         dec = tensor_decompose(Weight((2, 1, 0, 0, 0)), Weight((1, 1, 0, 0, 0)))
