@@ -244,7 +244,7 @@ class TestTensor:
 
     @pytest.mark.parametrize("lam, mu, text", [
         ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), "0,1,0,0,0"),
-        ((1, 0, 0, 0, 0), (Q(1, 2), Q(1, 2), Q(1, 2), Q(3, 2), Q(1, 2)), "1/2,1/2,1/2,3/2,1/2"),
+        ((1, 0, 0, 0, 0), (Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2), Q(3, 2)), "1/2,1/2,1/2,1/2,3/2"),
     ], ids=["first", "second"])
     def test_rejection_names_the_non_dominant_factor(self, lam, mu, text):
         with pytest.raises(ValueError) as err:
