@@ -12,6 +12,10 @@ Output is a plain table by default or JSON with ``--format json``; all
 rationals are rendered exactly as ``p/q`` strings.  Exit codes: 0 on
 success, 1 when a computation-level check fails or errors, 2 for usage
 or syntax errors.
+
+``run`` alone renders output: each ``_cmd_*`` handler computes its result
+once and returns its JSON payload, its text lines and its exit code, or
+raises before anything is printed; ``run`` picks the format and prints.
 """
 
 from __future__ import annotations
@@ -391,89 +395,63 @@ def _class_from_text(text: str, model) -> CohClass:
     return cls
 
 
-def _cmd_bbw(args) -> int:
+def _cmd_bbw(args) -> tuple:
     if args.weight is not None:
         w = Weight.from_text(args.weight)
         bundle = bbw.irreducible(w)
     else:
         bundle = make_bundle(args.bundle)
     table = bbw.cohomology(bundle)
-    if args.format == "json":
-        print(json.dumps({"h": table.to_json(), "euler": table.euler}))
-    else:
-        print(table)
-    return 0
+    return {"h": table.to_json(), "euler": table.euler}, [str(table)], 0
 
 
-def _cmd_koszul(args) -> int:
+def _cmd_koszul(args) -> tuple:
     bundle = make_bundle(args.bundle).twist(bbw.read_twist(args.twist.strip()))
     res = sections.section_cohomology(bundle, args.codim)
-    print(json.dumps(res.to_json()) if args.format == "json"
-          else f"status: {res.status}\nh: {res.table}\neuler: {res.euler}")
-    return 0
+    return res.to_json(), [f"status: {res.status}", f"h: {res.table}", f"euler: {res.euler}"], 0
 
 
-def _cmd_chern(args) -> int:
+def _cmd_chern(args) -> tuple:
     if args.target == "eta2":
         val = intersect.eta_square_solve()
-        print(json.dumps({"eta_square": str(val)}) if args.format == "json" else f"eta^2 = {val}")
-        return 0
+        return {"eta_square": str(val)}, [f"eta^2 = {val}"], 0
     if args.target == "U-plus":
         ch = intersect.tautological_ch(intersect.model_x())
     else:
         ch = intersect.universal_ch(intersect.x_times_curve() if args.target == "E1"
                                     else intersect.s_times_sdual())
     cs = {i: c for i, c in enumerate(ch.chern_classes(), 1) if not c.is_zero}
-    if args.format == "json":
-        print(json.dumps({"model": ch.model.name, "rank": ch.rank, "ch": ch.to_json(),
-                          "c": {str(i): c.to_json() for i, c in cs.items()}}))
-    else:
-        print(f"model: {ch.model.name}\nrank: {ch.rank}\nch: {ch}")
-        for i, c in cs.items():
-            print(f"c{i}: {c}")
-    return 0
+    return ({"model": ch.model.name, "rank": ch.rank, "ch": ch.to_json(),
+             "c": {str(i): c.to_json() for i, c in cs.items()}},
+            [f"model: {ch.model.name}", f"rank: {ch.rank}", f"ch: {ch}",
+             *(f"c{i}: {c}" for i, c in cs.items())], 0)
 
 
-def _cmd_fm(args) -> int:
+def _cmd_fm(args) -> tuple:
     if args.gram is not None and (args.kernel or args.apply is not None):
         raise ValueError("fm takes either --gram or --kernel and --apply, not both")
     if args.gram:
         collection, blocks = _gram_collection(args.gram)
         report = mukai.gram(collection, intersect.model_x(), blocks=blocks)
-        if args.format == "json":
-            print(json.dumps(report.to_json()))
-        else:
-            print("  ".join(report.labels))
-            for row in report.matrix:
-                print("  ".join(str(x) for x in row))
-            print(f"exceptional: {list(report.exceptional)}")
-            print(f"semiorthogonal: {report.semiorthogonal}")
-        return 0
-
+        return report.to_json(), ["  ".join(report.labels),
+                                  *("  ".join(str(x) for x in row) for row in report.matrix),
+                                  f"exceptional: {list(report.exceptional)}",
+                                  f"semiorthogonal: {report.semiorthogonal}"], 0
     if not args.kernel or args.apply is None:
         raise ValueError("fm needs either --gram or both --kernel and --apply")
     K = mukai.kernel(args.kernel)
     data = _class_from_text(args.apply, K.source)
     out = mukai.transform(K, data)
-    if args.format == "json":
-        print(json.dumps({"model": out.model.name, "class": out.to_json()}))
-    else:
-        print(f"{out} (on {out.model.name})")
-    return 0
+    return {"model": out.model.name, "class": out.to_json()}, [f"{out} (on {out.model.name})"], 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     report = verify_suite(args.suite)
-    if args.format == "json":
-        print(json.dumps(report.to_json()))
-    else:
-        for c in report.checks:
-            mark = "PASS" if c.ok else "FAIL"
-            print(f"[{mark}] {c.name}: {c.claim} "
-                  f"(expected {c.expected}, computed {c.computed})")
-        print(f"suite {report.suite}: {'PASS' if report.ok else 'FAIL'} "
-              f"({sum(c.ok for c in report.checks)}/{len(report.checks)})")
-    return 0 if report.ok else 1
+    lines = [f"[{'PASS' if c.ok else 'FAIL'}] {c.name}: {c.claim} "
+             f"(expected {c.expected}, computed {c.computed})" for c in report.checks]
+    lines.append(f"suite {report.suite}: {'PASS' if report.ok else 'FAIL'} "
+                 f"({sum(c.ok for c in report.checks)}/{len(report.checks)})")
+    return report.to_json(), lines, 0 if report.ok else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -536,13 +514,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except (BundleExprError, RationalSyntaxError, ClassSyntaxError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, sections.SpliceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 def main() -> None:

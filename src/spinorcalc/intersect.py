@@ -51,7 +51,7 @@ from itertools import product
 from math import factorial, gcd, lcm
 from typing import Callable, Literal, Optional, Sequence, Union
 
-from .rootdata import read_rational
+from .rootdata import _exact, read_rational
 
 Q = Fraction
 
@@ -90,16 +90,13 @@ class RingModel:
     todd: Optional[tuple[tuple[int, ...], int]] = None   # a factor's Todd class, num over den
     hyperplane: Optional[tuple[tuple[int, ...], int]] = None   # a factor's H, num over den
     index: dict[str, int] = field(init=False)
-    codim: dict[str, int] = field(init=False)
     cells: tuple[tuple[tuple[int, Row], ...], ...] = field(init=False)
     dim: int = field(init=False)
     top_index: int = field(init=False)
-    top: str = field(init=False)
 
     def __post_init__(self) -> None:
         dim = max(self.grades)
         object.__setattr__(self, "index", {l: i for i, l in enumerate(self.basis)})
-        object.__setattr__(self, "codim", dict(zip(self.basis, self.grades)))
         # cells[i] = the (j, table[i * n + j]) with a nonzero product e_i e_j
         n = len(self.basis)
         cells: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
@@ -109,20 +106,9 @@ class RingModel:
         object.__setattr__(self, "cells", tuple(map(tuple, cells)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "top_index", self.grades.index(dim))
-        object.__setattr__(self, "top", self.basis[self.top_index])
 
     def __repr__(self) -> str:
         return f"RingModel({self.name})"
-
-
-def _exact(c: Union[Q, int, str]) -> Union[Q, int]:
-    """An exact coefficient: an int or Fraction as given, text through
-    ``read_rational``; anything else, floats and bools too, is a TypeError."""
-    if isinstance(c, str):
-        return read_rational(c)
-    if isinstance(c, bool) or not isinstance(c, (int, Q)):
-        raise TypeError(f"cannot build an exact coordinate from {c!r}")
-    return c
 
 
 class CohClass:
@@ -461,7 +447,7 @@ def hyperplane(model: RingModel) -> CohClass:
 
 
 def point_class(model: RingModel) -> CohClass:
-    return CohClass.basis_class(model, model.top)
+    return CohClass.basis_class(model, model.basis[model.top_index])
 
 
 @functools.lru_cache(maxsize=None)

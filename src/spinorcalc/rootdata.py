@@ -82,6 +82,16 @@ def read_rational(text: str) -> Fraction:
     return Fraction(-num if m["sign"] == "-" else num, den)
 
 
+def _exact(c: int | Fraction | str) -> int | Fraction:
+    """An exact coordinate: an int or Fraction as given, text through
+    ``read_rational``; anything else, floats and bools too, is a TypeError."""
+    if isinstance(c, str):
+        return read_rational(c)
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cannot build an exact coordinate from {c!r}")
+    return c
+
+
 def _halves(twice: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(d, 2) for d in twice)
 
@@ -102,13 +112,7 @@ class Weight:
     twice: tuple[int, ...]
 
     def __init__(self, coords: Iterable) -> None:
-        cs = []
-        for c in coords:
-            if isinstance(c, str):
-                c = read_rational(c)
-            elif isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise TypeError(f"cannot build an exact coordinate from {c!r}")
-            cs.append(c)
+        cs = [_exact(c) for c in coords]
         if len(cs) != RANK:
             raise ValueError(f"expected {RANK} coordinates, got {len(cs)}")
         doubled = [2 * c for c in cs]

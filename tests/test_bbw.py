@@ -189,6 +189,12 @@ def test_homog_bundle_validation():
     assert merged.summands == ((vector, 2), (zero, 3))
     assert HomogBundle(((zero, 0), (vector, 1), (vector, -1))).summands == ()
     assert HomogBundle(((zero, 2), (vector, 0))).summands == ((zero, 2),)
+    # each multiplicity is checked before merging: two halves would merge to Fraction 1
+    for summands in [((vector, m),) for m in (1.5, Q(1, 2), Q(2), True, "1")] + [
+            ((vector, Q(1, 2)), (vector, Q(1, 2)))]:
+        with pytest.raises(TypeError) as exc:
+            HomogBundle(summands)
+        assert str(exc.value) == f"a summand multiplicity must be an int, got {summands[0][1]!r}"
 
 
 @settings(max_examples=40, deadline=None)

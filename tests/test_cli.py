@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from test_koszul_columns import bundle_exprs
 from spinorcalc.bbw import MAX_TWIST
-from spinorcalc import cli, mukai, sections
+from spinorcalc import cli, intersect, mukai, sections
 from spinorcalc.cli import SUITES, VerifyReport, run, verify_suite
 from spinorcalc.mukai import KERNELS, NAMED_CLASSES
 
@@ -151,6 +152,14 @@ class TestChernCommand:
         code, out, _ = invoke(capsys, "chern", "--target", "eta2")
         assert code == 0
         assert out.strip() == "eta^2 = 14"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_computation_error_exit_1(self, capsys, monkeypatch, fmt):
+        def fail():
+            raise ArithmeticError("no solution")
+        monkeypatch.setattr(intersect, "eta_square_solve", fail)
+        code, out, err = invoke(capsys, "chern", "--target", "eta2", "--format", fmt)
+        assert (code, out, err) == (1, "", "error: no solution\n")
 
     def test_universal_json(self, capsys):
         code, out, _ = invoke(capsys, "chern", "--target", "E1", "--format", "json")
@@ -304,6 +313,30 @@ class TestVerifyCommand:
             tuple(label for label, _ in collection)) or gram(collection, *args, **kw))
         assert run(["verify", "--suite", "sod"]) == 0
         assert labels.count(("U+", "O_X", "Phi1(O_C)", "Phi1(pt)")) == 1
+
+    @pytest.fixture
+    def failing_conics(self, monkeypatch):
+        # the first conics record now expects -3 where -4 is computed
+        first, *rest = SUITES["conics"]
+        monkeypatch.setitem(SUITES, "conics", (first._replace(expected=Fraction(-3)), *rest))
+
+    def test_failing_check_table(self, capsys, failing_conics):
+        code, out, err = invoke(capsys, "verify", "--suite", "conics")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 5)
+        assert lines[0] == ("[FAIL] conic-degree: deg of the tautological bundle on a conic "
+                            "is -4 (expected -3, computed -4)")
+        assert all(line.startswith("[PASS] ") for line in lines[1:4])
+        assert lines[4] == "suite conics: FAIL (3/4)"
+
+    def test_failing_check_json(self, capsys, failing_conics):
+        code, out, err = invoke(capsys, "verify", "--suite", "conics", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err, payload["pass"]) == (1, "", False)
+        assert payload["checks"][0] == {
+            "name": "conic-degree", "claim": "deg of the tautological bundle on a conic is -4",
+            "expected": "-3", "computed": "-4", "pass": False}
+        assert [c["pass"] for c in payload["checks"][1:]] == [True, True, True]
 
     def test_named_suite_json(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "conics", "--format", "json")

@@ -54,7 +54,7 @@ class TestRingAxioms:
             for la in m.basis:
                 for lb in m.basis:
                     prod = CohClass.basis_class(m, la) * CohClass.basis_class(m, lb)
-                    k = m.codim[la] + m.codim[lb]
+                    k = m.grades[m.index[la]] + m.grades[m.index[lb]]
                     assert prod == prod.component(k)
 
     def test_integrate_unit_vanishes(self):
@@ -250,7 +250,7 @@ class TestEta:
         eta = CohClass.basis_class(prod, ETA)
         assert eta * eta == CohClass(prod, {"P*pt": 14})
         for label in prod.basis:
-            if label == ETA or prod.codim[label] == 0:
+            if label == ETA or prod.grades[prod.index[label]] == 0:
                 continue
             assert (eta * CohClass.basis_class(prod, label)).is_zero
 
