@@ -19,13 +19,17 @@ GL5 Littlewood-Richardson rule.
 Cohomology of an irreducible summand is concentrated in a single degree:
 the weight is rho-shifted and regularized; singular means no cohomology,
 otherwise the degree is the number of positive roots made negative and
-the dimension comes from the Weyl dimension formula for D5.
+the dimension comes from the Weyl dimension formula for D5.  The memo of
+these per-weight results runs on the doubled ints: it calls the int kernels
+of ``rootdata`` for the regularization and the Weyl dimension and builds no
+``Weight``.
 
 ``HomogBundle(...)`` validates its summands and puts them in canonical
 order; ``twist``, ``dual``, ``*``, ``O`` and ``U`` keep that form by
-construction and skip the checks.  A bundle is stored only in its untwisted
-form (base, shift): the doubled weights less the first summand's last doubled
-coordinate, and that coordinate, so b and every twist b(j) share one base.
+construction and skip the checks, and ``dual`` works on the ints of the base.
+A bundle is stored only in its untwisted form (base, shift): the doubled
+weights less the first summand's last doubled coordinate, and that
+coordinate, so b and every twist b(j) share one base.
 The memos are keyed on bases, as plain ints, with the twist as an offset.
 ``cohomology(b, k)`` gives H(b(k)) from the table of b's base at shift + k:
 the Koszul page columns H(b(-p)), ``hilbert``, plain ``cohomology(b)``
@@ -40,12 +44,12 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .rootdata import (
-    RHO,
     Weight,
-    bbw_regularize,
+    _regularize,
+    _weyl_dim,
     is_dominant,
     tensor_decompose,
     weyl_dim,
@@ -174,9 +178,12 @@ class HomogBundle:
         return sum(m * weyl_dim(w, "GL5") for w, m in self.summands)
 
     def dual(self) -> "HomogBundle":
-        # negating and reversing keeps weights dominant and distinct, but not in order
-        return HomogBundle._from_base(*_untwist(tuple(sorted(
-            ((tuple(-d for d in reversed(t)), m) for t, m in self.twice), reverse=True))))
+        # dual(b(s)) = dual(b)(-s); negating and reversing keeps weights dominant and
+        # distinct, but not in order
+        base, shift = _untwist(sorted([((-e, -d, -c, -b, -a), m)
+                                       for (a, b, c, d, e), m in self._base], reverse=True))
+        # the zero bundle keeps shift 0, as its validated form has it
+        return HomogBundle._from_base(base, shift - self._shift if base else 0)
 
     def twist(self, k: int) -> "HomogBundle":
         """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones.
@@ -199,12 +206,12 @@ def _int_twist(k: int) -> int:
     return k
 
 
-def _untwist(twice: tuple) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+def _untwist(twice: Sequence) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """(base, shift) of the canonical (doubled weight, multiplicity) pairs ``twice``:
     ``shift`` is the first summand's last doubled coordinate, 0 when there is none, and
     ``base`` the doubled weights less ``shift`` in every coordinate."""
     shift = twice[0][0][-1] if twice else 0
-    return tuple((tuple(d - shift for d in t), m) for t, m in twice), shift
+    return tuple([(tuple([d - shift for d in t]), m) for t, m in twice]), shift
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,7 +224,7 @@ def _base_product(base1: tuple, base2: tuple) -> tuple[tuple, int]:
         for t2, m2 in base2:
             for w, m in tensor_decompose(w1, Weight._unchecked(t2)):
                 counts[w.twice] = counts.get(w.twice, 0) + m1 * m2 * m
-    return _untwist(tuple(sorted(counts.items(), reverse=True)))
+    return _untwist(sorted(counts.items(), reverse=True))
 
 
 def O(k: int = 0) -> HomogBundle:
@@ -370,16 +377,17 @@ def make_bundle(expr: Union[str, HomogBundle]) -> HomogBundle:
 # ---------------------------------------------------------------------------
 
 
-_RHO = Weight(RHO)
-
-
 @functools.lru_cache(maxsize=None)
 def _irreducible_cohomology(twice: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    reg = bbw_regularize(Weight._from_twice(twice))
+    """(degree, dimension) of the one nonzero cohomology group of the irreducible
+    bundle of doubled weight ``twice``, or None when it has none: the length of the
+    rho-shifted regularization and the D5 Weyl dimension of the regularized weight,
+    read on ints, with no Weight built."""
+    reg = _regularize(twice)
     if reg is None:
         return None
     length, dom = reg
-    return length, weyl_dim(dom - _RHO, "D5")
+    return length, _weyl_dim(dom, "D5")
 
 
 @functools.lru_cache(maxsize=None)

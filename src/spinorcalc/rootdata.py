@@ -25,7 +25,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Literal, Optional
 
 Flavor = Literal["D5", "GL5"]
@@ -96,6 +95,20 @@ def _halves(twice: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(d, 2) for d in twice)
 
 
+def _text(twice: tuple[int, ...]) -> str:
+    """The doubled coordinates ``twice`` halved and written in the CLI weight syntax."""
+    return ",".join(str(d >> 1) if d & 1 == 0 else f"{d}/2" for d in twice)
+
+
+def _check_twice(twice: tuple[int, ...]) -> None:
+    """Raise ValueError unless ``twice`` is RANK doubled coordinates of one parity."""
+    if len(twice) != RANK:
+        raise ValueError(f"expected {RANK} coordinates, got {len(twice)}")
+    t0, t1, t2, t3, t4 = twice
+    if ((t1 - t0) | (t2 - t0) | (t3 - t0) | (t4 - t0)) & 1:
+        raise ValueError(f"mixed integer/half-integer coordinates: {_text(twice)}")
+
+
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class Weight:
     """A lattice point in epsilon-coordinates.
@@ -118,19 +131,16 @@ class Weight:
         doubled = [2 * c for c in cs]
         if any(isinstance(d, Fraction) and d.denominator != 1 for d in doubled):
             raise ValueError(f"coordinates must be integers or half-integers: "
-                             f"{tuple(map(Fraction, cs))}")
+                             f"{','.join(map(str, cs))}")
         twice = tuple(int(d) for d in doubled)
         if len({d & 1 for d in twice}) > 1:
-            raise ValueError(f"mixed integer/half-integer coordinates: {tuple(map(Fraction, cs))}")
+            raise ValueError(f"mixed integer/half-integer coordinates: {','.join(map(str, cs))}")
         object.__setattr__(self, "twice", twice)
 
     @classmethod
     def _from_twice(cls, twice: tuple[int, ...]) -> "Weight":
         """The weight with doubled coordinates ``twice``, skipping the Fraction work."""
-        if len(twice) != RANK:
-            raise ValueError(f"expected {RANK} coordinates, got {len(twice)}")
-        if len({d & 1 for d in twice}) > 1:
-            raise ValueError(f"mixed integer/half-integer coordinates: {_halves(twice)}")
+        _check_twice(twice)
         return cls._unchecked(twice)
 
     @classmethod
@@ -197,7 +207,7 @@ class Weight:
         return cls(coords)
 
     def __str__(self) -> str:
-        return ",".join(str(d >> 1) if d & 1 == 0 else f"{d}/2" for d in self.twice)
+        return _text(self.twice)
 
 
 SPINOR = Weight((Fraction(1, 2),) * RANK)          # highest weight of the 16-dim half-spin rep
@@ -220,59 +230,89 @@ def is_dominant(w: Weight, flavor: Flavor) -> bool:
     return _gl5_dominant(c) and (flavor == "GL5" or c[3] >= abs(c[4]))
 
 
-def bbw_regularize(lam: Weight) -> Optional[tuple[int, Weight]]:
-    """Rho-shifted regularization of a weight under W(D5).
+def _regularize(twice: tuple[int, ...]) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Rho-shifted D5 regularization of the weight lam with doubled coordinates
+    ``twice``, which must be RANK ints of one parity (else ValueError).
 
-    Let v = lam + rho.  If v is singular (two coordinates of equal absolute
+    Let v = 2(lam + rho).  If v is singular (two coordinates of equal absolute
     value, two zeros included) return None.  Otherwise return (length, dom)
-    where dom = w.v is the unique D5-dominant orbit representative
-    (absolute values sorted descending, with the last sign flipped when the
-    number of sign changes used is odd) and length counts the positive
-    roots alpha with <v, alpha> < 0.  Doubling v changes none of the signs
-    or equalities, so the work runs on 2v.
+    where dom = w.v is the unique D5-dominant orbit representative (absolute
+    values sorted descending, with the last sign flipped when v has an odd
+    number of negative coordinates) and length counts the positive roots alpha
+    with <v, alpha> < 0.  Doubling changes none of the signs or equalities.
     """
-    v = [a + b for a, b in zip(lam.twice, _RHO2)]
-    absv = [abs(x) for x in v]
-    if len(set(absv)) < RANK:
+    _check_twice(twice)
+    t0, t1, t2, t3, v4 = twice
+    v0, v1, v2, v3 = t0 + 8, t1 + 6, t2 + 4, t3 + 2   # twice + _RHO2, without a loop
+    a0, a1, a2, a3, a4 = sorted([x if x >= 0 else -x for x in (v0, v1, v2, v3, v4)],
+                                reverse=True)
+    if a0 == a1 or a1 == a2 or a2 == a3 or a3 == a4:
         return None
-    negatives = sum(1 for x in v if x < 0)
-    dom = sorted(absv, reverse=True)
-    if negatives % 2 == 1:
-        dom[-1] = -dom[-1]
-    length = 0
-    for i, j in combinations(range(RANK), 2):
-        if v[i] - v[j] < 0:
-            length += 1
-        if v[i] + v[j] < 0:
-            length += 1
-    return length, Weight._from_twice(tuple(dom))
+    # v_i < v_j counts the root e_i - e_j, v_i < -v_j the root e_i + e_j
+    length = ((v0 < v1) + (v0 < v2) + (v0 < v3) + (v0 < v4) + (v1 < v2) + (v1 < v3)
+              + (v1 < v4) + (v2 < v3) + (v2 < v4) + (v3 < v4)
+              + (v0 < -v1) + (v0 < -v2) + (v0 < -v3) + (v0 < -v4) + (v1 < -v2)
+              + (v1 < -v3) + (v1 < -v4) + (v2 < -v3) + (v2 < -v4) + (v3 < -v4))
+    if ((v0 < 0) + (v1 < 0) + (v2 < 0) + (v3 < 0) + (v4 < 0)) & 1:
+        a4 = -a4
+    return length, (a0, a1, a2, a3, a4)
 
 
-def _root_pairings(v: tuple[int, ...], flavor: Flavor) -> int:
-    """Product of <v, alpha> over the positive roots alpha of the flavor."""
-    out = 1
-    for i, j in combinations(range(RANK), 2):
-        out *= v[i] - v[j]
-        if flavor == "D5":
-            out *= v[i] + v[j]
-    return out
+def bbw_regularize(lam: Weight) -> Optional[tuple[int, Weight]]:
+    """Rho-shifted regularization of a weight under W(D5): None when lam + rho
+    is singular, else (length, w.(lam + rho)) as ``_regularize`` describes."""
+    reg = _regularize(lam.twice)
+    return None if reg is None else (reg[0], Weight._unchecked(reg[1]))
 
 
-_WEYL_DENOMINATOR = {flavor: _root_pairings(_RHO2, flavor) for flavor in ("D5", "GL5")}
+def _root_product(v: tuple[int, ...], flavor: Flavor) -> int:
+    """Product of <v, alpha> over the positive roots alpha of the flavor: the
+    factors v_i - v_j for i < j, and for D5 also v_i + v_j, which pair up into
+    v_i^2 - v_j^2."""
+    if flavor == "D5":
+        v = [x * x for x in v]
+    a, b, c, d, e = v
+    return (a - b) * (a - c) * (a - d) * (a - e) * (b - c) * (b - d) * (b - e) \
+        * (c - d) * (c - e) * (d - e)
 
 
-def weyl_dim(lam: Weight, flavor: Flavor) -> int:
-    """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots."""
-    if not is_dominant(lam, flavor):
-        raise ValueError(f"{lam} is not {flavor}-dominant")
-    # numerator and denominator both pair twice the vector with every root,
-    # so the factors of 2 cancel
-    num = _root_pairings(tuple(a + b for a, b in zip(lam.twice, _RHO2)), flavor)
+_WEYL_DENOMINATOR = {flavor: _root_product(_RHO2, flavor) for flavor in ("D5", "GL5")}
+
+
+def _weyl_dim(v: tuple[int, ...], flavor: Flavor) -> int:
+    """Weyl dimension of the highest weight lam with v = 2(lam + rho), ints of one
+    parity: prod <v, a> / <2 rho, a> over the flavor's positive roots a.
+
+    lam must be dominant, else ValueError: v strictly decreasing, for D5 also
+    v[3] > |v[4]|, which with one parity is lam weakly decreasing and, for D5,
+    lam[3] >= |lam[4]|.  A quotient that is not a positive integer is an
+    ArithmeticError.
+    """
+    v0, v1, v2, v3, v4 = v
+    if not (v0 > v1 > v2 > v3 > v4 and (flavor == "GL5" or v3 > -v4)):
+        raise ValueError(f"{_text(_unshift(v))} is not {flavor}-dominant")
+    num = _root_product(v, flavor)
     den = _WEYL_DENOMINATOR[flavor]
     d, rest = divmod(num, den)
     if rest or d <= 0:
-        raise ArithmeticError(f"Weyl dimension of {lam.coords} came out as {Fraction(num, den)}")
+        raise ArithmeticError(f"Weyl dimension of {_halves(_unshift(v))} came out as "
+                              f"{Fraction(num, den)}")
     return d
+
+
+def _unshift(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The doubled weight lam of v = 2(lam + rho)."""
+    return tuple([a - b for a, b in zip(v, _RHO2)])
+
+
+def weyl_dim(lam: Weight, flavor: Flavor) -> int:
+    """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots.
+
+    An unknown flavor raises ValueError, as a weight that is not dominant does.
+    """
+    if flavor != "GL5" and flavor != "D5":
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _weyl_dim(tuple([a + b for a, b in zip(lam.twice, _RHO2)]), flavor)
 
 
 @functools.lru_cache(maxsize=None)

@@ -129,10 +129,18 @@ def _cells(b: HomogBundle, codim: int, memo: list) -> list[Cell]:
     return cells
 
 
-def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
-    """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
+def _check_codim(codim: int) -> None:
+    """Raise TypeError unless ``codim`` is an int, not a bool, then ValueError unless
+    it is in 1..9."""
+    if not isinstance(codim, int) or isinstance(codim, bool):
+        raise TypeError(f"codim must be an int, got {codim!r}")
     if not 1 <= codim <= 9:
         raise ValueError(f"codim must be in 1..9, got {codim}")
+
+
+def koszul_page(b: HomogBundle, codim: int) -> dict[tuple[int, int], int]:
+    """Nonzero first-page entries (p, q) -> dim for a codim-c section."""
+    _check_codim(codim)
     weights = _BINOMIALS[codim]
     return {(p, d + p): weights[p] * n
             for p, d, n in _cells(b, codim, _column_memo(b._base, b._shift)) if p <= codim}
@@ -142,9 +150,8 @@ def section_cohomology(b: Union[HomogBundle, str], codim: int) -> SectionResult:
     """Cohomology of b restricted to a generic codimension-``codim`` section, kept in
     b's record; a call that raises keeps nothing."""
     b = make_bundle(b)
-    if not 1 <= codim <= 9:
-        raise ValueError(f"codim must be in 1..9, got {codim}")
-    weights = _BINOMIALS[codim]   # before the lookup, so a codim that is not an int raises
+    _check_codim(codim)
+    weights = _BINOMIALS[codim]
     memo = _column_memo(b._base, b._shift)
     results = memo[2]
     res = results.get(codim)
@@ -189,8 +196,16 @@ def _section_result(b: HomogBundle, codim: int, cells: Sequence[Cell],
             raise ArithmeticError(f"page of {b} at codim {codim} contradicts "
                                   f"h^d >= 0 on [0, {top}] and h^d = 0 outside it")
         lo, hi = sums
-        upper = CohomologyTable.from_dict({d: n - s for d, n, s in zip(degrees, e, lo)})
-        return SectionResult("exact" if lo == hi else "euler_only", upper, euler)
+        entries = []   # the nonzero upper bounds E_d - s_d, in order of d
+        for d, n, s in zip(degrees, e, lo):
+            if n != s:
+                if d < 0:
+                    raise ValueError(f"negative cohomological degree {d}")
+                if n < s:
+                    raise ValueError(f"negative dimension {n - s} in degree {d}")
+                entries.append((d, n - s))
+        return SectionResult("exact" if lo == hi else "euler_only",
+                             CohomologyTable._canonical(tuple(entries)), euler)
     # At most one degree d0 in [0, top], so chi = (-1)^d0 h^d0 and h^d = 0 elsewhere.  That
     # pins every sum of the chain, which reduces to y_d = E_d - h^d - y_{d-1}: it must stay
     # >= 0 and vanish where d does not join, as after the last degree.

@@ -1,7 +1,8 @@
 """Independent oracles for cross-checking the library.
 
 Deliberately different algorithms from the implementation: the Weyl group
-is enumerated element by element, weight multiplicities come from
+is enumerated element by element, Weyl dimensions are Fraction products over
+a written-out list of the positive roots, weight multiplicities come from
 Gelfand-Tsetlin patterns, tensor products use the Klimyk formula, and
 horizontal strips are found among all shapes in a box around the partition;
 bundle products are formed summand by summand, against the product memo
@@ -98,6 +99,34 @@ def regularize_oracle(lam: Weight):
         if all(u[i] >= u[i + 1] for i in range(RANK - 1)) and u[3] >= abs(u[4]):
             return element_length(elem), Weight(u)
     raise AssertionError(f"no Weyl element regularizes {lam}")
+
+
+# The 20 positive roots of D5, written out: e_i - e_j, then e_i + e_j, for i < j.
+# The GL5 roots are the first ten.
+D5_POSITIVE_ROOTS = tuple(tuple(Q(x) for x in root) for root in (
+    (1, -1, 0, 0, 0), (1, 0, -1, 0, 0), (1, 0, 0, -1, 0), (1, 0, 0, 0, -1),
+    (0, 1, -1, 0, 0), (0, 1, 0, -1, 0), (0, 1, 0, 0, -1),
+    (0, 0, 1, -1, 0), (0, 0, 1, 0, -1),
+    (0, 0, 0, 1, -1),
+    (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0), (1, 0, 0, 0, 1),
+    (0, 1, 1, 0, 0), (0, 1, 0, 1, 0), (0, 1, 0, 0, 1),
+    (0, 0, 1, 1, 0), (0, 0, 1, 0, 1),
+    (0, 0, 0, 1, 1),
+))
+
+
+def weyl_dim_oracle(lam: Weight, flavor: str) -> int:
+    """Weyl dimension formula in Fractions over the listed positive roots:
+    the product of <lam + rho, a> / <rho, a>, for a dominant weight lam."""
+    roots = D5_POSITIVE_ROOTS if flavor == "D5" else D5_POSITIVE_ROOTS[:10]
+    shifted = [c + r for c, r in zip(lam.coords, RHO)]
+    for a in roots:
+        assert sum(c * x for c, x in zip(lam.coords, a)) >= 0, f"{lam} is not {flavor}-dominant"
+    out = Q(1)
+    for a in roots:
+        out *= sum(v * x for v, x in zip(shifted, a)) / sum(r * x for r, x in zip(RHO, a))
+    assert out.denominator == 1 and out > 0, out
+    return out.numerator
 
 
 def orbit_size_d5(w: Weight) -> int:

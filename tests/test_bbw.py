@@ -2,9 +2,12 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import regularize_oracle, weyl_dim_oracle
 from test_koszul_columns import bundle_exprs
+from spinorcalc import bbw
 from spinorcalc.bbw import (
     DIM,
     MAX_FACTORS,
@@ -22,7 +25,7 @@ from spinorcalc.bbw import (
     parse_bundle_expr,
     tenfold_degree,
 )
-from spinorcalc.rootdata import Weight
+from spinorcalc.rootdata import RHO, Weight, bbw_regularize, weyl_dim
 
 
 def sweep_bundles() -> list[HomogBundle]:
@@ -217,3 +220,26 @@ def test_grammar_serre_duality(expr):
     dual_twisted = make_bundle(f"dual({expr})(-8)")
     assert dual_twisted == b.dual().twist(-8)
     assert cohomology(b).dims() == {DIM - d: n for d, n in cohomology(dual_twisted).entries}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1), st.lists(st.integers(-12, 12), min_size=5, max_size=5))
+@example(0, [-1, 0, 0, 0, 0])     # lam + rho = (3, 3, 2, 1, 0) is singular
+@example(1, [-3, -3, -3, -3, -1])  # lam + rho = (3/2, 1/2, -1/2, -3/2, -1/2) too
+@example(0, [-4, -4, -4, -4, -4])  # O(-8): all ten roots flip, onto rho
+def test_summand_cohomology_matches_the_oracles(parity, coords):
+    # the int kernels behind one memo entry against the Weyl-group search and the
+    # Fraction product over the listed roots, for weights of both parities
+    twice = tuple(2 * c + parity for c in coords)
+    lam = Weight(tuple(Q(t, 2) for t in twice))
+    ref = regularize_oracle(lam)
+    got = bbw._irreducible_cohomology.__wrapped__(twice)
+    assert bbw_regularize(lam) == ref
+    if ref is None:
+        assert got is None
+    else:
+        length, dom = ref
+        assert got == (length, weyl_dim_oracle(dom - RHO, "D5"))
+        assert weyl_dim(dom - RHO, "D5") == got[1]
+    top = Weight._unchecked(tuple(sorted(twice, reverse=True)))
+    assert weyl_dim(top, "GL5") == weyl_dim_oracle(top, "GL5")

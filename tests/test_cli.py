@@ -45,14 +45,12 @@ class TestBBWCommand:
     def test_weight_outside_lattice_exit_1(self, capsys):
         code, out, err = invoke(capsys, "bbw", "--weight", "1/3,0,0,0,0")
         assert (code, out) == (1, "")
-        assert err == ("error: coordinates must be integers or half-integers: (Fraction(1, 3), "
-                       "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))\n")
+        assert err == "error: coordinates must be integers or half-integers: 1/3,0,0,0,0\n"
 
     def test_weight_mixed_parity_exit_1(self, capsys):
         code, out, err = invoke(capsys, "bbw", "--weight", "1/2,0,0,0,0")
         assert (code, out) == (1, "")
-        assert err == ("error: mixed integer/half-integer coordinates: (Fraction(1, 2), "
-                       "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))\n")
+        assert err == "error: mixed integer/half-integer coordinates: 1/2,0,0,0,0\n"
 
     @pytest.mark.parametrize("text", ["a,b,c,d,e", "1,2", "1/0,0,0,0,0"])
     def test_weight_syntax_error_exit_2(self, capsys, text):

@@ -4,10 +4,11 @@ built bundle builds no further bundle.  The columns are read once per bundle
 whatever order the codims come in.  Also: ``twist``, ``dual`` and ``*``
 return canonical bundles without running the validating constructor, the
 column memo is keyed on ints, and on memo hits building, twisting, dualizing
-and multiplying bundles builds no ``Weight``.  The bbw memos are keyed on the
-untwisted bundle, so a twist family shares its tables and its products, and
-the section results are kept per bundle and codim; emptying every memo that a
-cold benchmark round empties makes the next sweep read every column again."""
+and multiplying bundles builds no ``Weight``, nor do a table read from empty
+memos and a dual.  The bbw memos are keyed on the untwisted bundle, so a twist
+family shares its tables and its products, and the section results are kept
+per bundle and codim; emptying every memo that a cold benchmark round empties
+makes the next sweep read every column again."""
 
 from fractions import Fraction
 from math import comb
@@ -146,12 +147,8 @@ def test_memo_hit_hashes_no_weight(monkeypatch):
     assert hashed == []
 
 
-def test_the_bundle_path_builds_no_weight(monkeypatch):
-    def bundle_path():
-        b = make_bundle("dual(U)(1)*U(-2)")
-        return b.twist(3).dual() * b, cohomology(b, -3)
-
-    bundle_path()   # the product and table memos now hold what the path reads
+def _count_weights(monkeypatch) -> list:
+    """The list that every Weight built from now on, by any constructor, is appended to."""
     built = []
     for name in ("_unchecked", "_from_twice"):
         original = getattr(Weight, name)
@@ -168,11 +165,34 @@ def test_the_bundle_path_builds_no_weight(monkeypatch):
         init(self, coords)
 
     monkeypatch.setattr(Weight, "__init__", counting_init)
+    return built
+
+
+def test_the_bundle_path_builds_no_weight(monkeypatch):
+    def bundle_path():
+        b = make_bundle("dual(U)(1)*U(-2)")
+        return b.twist(3).dual() * b, cohomology(b, -3)
+
+    bundle_path()   # the product and table memos now hold what the path reads
+    built = _count_weights(monkeypatch)
     hits = bbw._base_product.cache_info().hits, bbw._twisted_table.cache_info().hits
     bundle_path()
     assert built == []
     assert bbw._base_product.cache_info().hits == hits[0] + 2
     assert bbw._twisted_table.cache_info().hits == hits[1] + 1
+
+
+def test_a_cold_table_and_a_dual_build_no_weight(monkeypatch):
+    b = make_bundle("dual(U)(1)*U(-2)*U")
+    expected = [cohomology(b.twist(k)) for k in range(-9, 10)], b.dual()
+    bbw._twisted_table.cache_clear()
+    bbw._irreducible_cohomology.cache_clear()
+    built = _count_weights(monkeypatch)
+    got = [cohomology(b, k) for k in range(-9, 10)], b.dual()
+    assert built == []
+    assert got == expected
+    assert bbw._twisted_table.cache_info().hits == 0
+    assert bbw._irreducible_cohomology.cache_info().misses == 19 * len(b._base)
 
 
 def test_degree_above_dim_names_the_twisted_bundle(monkeypatch):

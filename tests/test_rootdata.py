@@ -87,6 +87,22 @@ class TestWeight:
         assert str(w) == "1/2,-1/2,-1/2,-3/2,-3/2"
         assert str(Weight((2, 0, 0, -1, -3))) == "2,0,0,-1,-3"
 
+    @pytest.mark.parametrize("coords, message", [
+        (("1/3", 0, 0, 0, 0), "coordinates must be integers or half-integers: 1/3,0,0,0,0"),
+        ((Q(-7, 4), 1, 2, "3", Q(5, 2)),
+         "coordinates must be integers or half-integers: -7/4,1,2,3,5/2"),
+        ((Q(1, 2), 0, 0, 0, 0), "mixed integer/half-integer coordinates: 1/2,0,0,0,0"),
+        ((1, Q(4, 2), "3/2", Q(-1, 2), 0), "mixed integer/half-integer coordinates: 1,2,3/2,-1/2,0"),
+    ], ids=["lattice", "lattice-mixed-types", "parity", "parity-mixed-types"])
+    def test_lattice_errors_print_the_cli_syntax(self, coords, message):
+        # the coordinates are written as in Weight.from_text, which reads them back
+        with pytest.raises(ValueError) as err:
+            Weight(coords)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as reread:
+            Weight.from_text(message.rsplit(" ", 1)[1])
+        assert str(reread.value) == message
+
     def test_rejects_inexact_coordinates(self):
         with pytest.raises(TypeError):
             Weight((0.5,) * 5)
@@ -108,8 +124,7 @@ class TestWeight:
 
     @pytest.mark.parametrize("twice, message", [
         ((2, 0, 0, 0), "expected 5 coordinates, got 4"),
-        ((1, 0, 0, 0, 0), "mixed integer/half-integer coordinates: (Fraction(1, 2), "
-                          "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"),
+        ((1, 0, 0, 0, 0), "mixed integer/half-integer coordinates: 1/2,0,0,0,0"),
     ], ids=["length", "parity"])
     def test_from_twice_validation(self, twice, message):
         with pytest.raises(ValueError) as err:
@@ -221,8 +236,26 @@ class TestWeylDim:
         assert weyl_dim(lam, "GL5") == weyl_dim(lam.shifted(Q(5, 2)), "GL5")
 
     def test_rejects_non_dominant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^0,1,0,0,0 is not GL5-dominant$"):
             weyl_dim(Weight((0, 1, 0, 0, 0)), "GL5")
+        with pytest.raises(ValueError, match=r"^1/2,1/2,1/2,1/2,-3/2 is not D5-dominant$"):
+            weyl_dim(Weight((Q(1, 2),) * 4 + (Q(-3, 2),)), "D5")
+        assert weyl_dim(Weight((Q(1, 2),) * 4 + (Q(-3, 2),)), "GL5") == 15
+        with pytest.raises(ValueError, match=r"^unknown flavor 'B7'$"):
+            weyl_dim(Weight((0, 1, 0, 0, 0)), "B7")
+
+    def test_int_kernels_keep_the_weight_checks(self):
+        # the kernels that the bbw memo calls on doubled ints raise what the Weight
+        # route raised: a twice of the wrong length or of mixed parity, a
+        # regularized vector whose weight is not dominant
+        with pytest.raises(ValueError, match=r"^expected 5 coordinates, got 4$"):
+            rootdata._regularize((2, 0, 0, 0))
+        with pytest.raises(ValueError, match=r"^mixed integer/half-integer coordinates: "
+                                             r"1/2,0,0,0,0$"):
+            rootdata._regularize((1, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match=r"^0,0,0,0,-2 is not D5-dominant$"):
+            rootdata._weyl_dim((8, 6, 4, 2, -4), "D5")
+        assert rootdata._weyl_dim((8, 6, 4, 2, -4), "GL5") == 15
 
 
 class TestTensor:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracles import page_cells
@@ -9,6 +11,7 @@ from spinorcalc.sections import (
     SectionResult,
     SpliceError,
     SpliceProblem,
+    koszul_page,
     pipeline_e1y_double_twist,
     pipeline_e1y_tensor_u,
     pipeline_e1y_tensor_udual_2h,
@@ -87,6 +90,20 @@ class TestSectionCohomology:
             section_cohomology(O(), 0)
         with pytest.raises(ValueError):
             section_cohomology(O(), 10)
+
+    @pytest.mark.parametrize("codim", [True, False, 7.0, Fraction(7), "7", None])
+    def test_a_codim_that_is_not_an_int_raises(self, codim):
+        # True would read as codim 1 and 7.0 fail inside a tuple lookup
+        b = make_bundle("dual(U)*U")
+        sections._column_memo.cache_clear()
+        for call in (section_cohomology, koszul_page):
+            with pytest.raises(TypeError) as info:
+                call(b, codim)
+            assert str(info.value) == f"codim must be an int, got {codim!r}"
+        with pytest.raises(TypeError) as info:
+            section_hilbert(codim, 1)
+        assert str(info.value) == f"codim must be an int, got {codim!r}"
+        assert sections._column_memo(b._base, b._shift) == [0, [], {}]
 
 
 class TestSectionHilbert:
