@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
 
 from .rootdata import (
     Weight,
+    _Frozen,
     _regularize,
     _weyl_dim,
     is_dominant,
@@ -59,14 +59,14 @@ DIM = 10                 # dimension of the spinor tenfold
 CANONICAL_TWIST = -8     # canonical bundle is O(-8)
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(_Frozen):
     """Finitely supported map degree -> dimension, with its Euler number."""
 
+    __slots__ = _fields = ("entries",)
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        clean = tuple(sorted((d, n) for d, n in self.entries if n))
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        clean = tuple(sorted((d, n) for d, n in entries if n))
         for d, n in clean:
             if d < 0:
                 raise ValueError(f"negative cohomological degree {d}")
@@ -122,8 +122,7 @@ class CohomologyTable:
         return "{" + ", ".join(f"{d}: {n}" for d, n in self.entries) + "}"
 
 
-@dataclass(frozen=True, init=False)
-class HomogBundle:
+class HomogBundle(_Frozen):
     """Formal sum of irreducible equivariant bundles, tagged by weight.
 
     ``HomogBundle(summands)`` validates and canonicalizes: every multiplicity
@@ -136,6 +135,8 @@ class HomogBundle:
     which keeps the form by construction and skips the checks.
     """
 
+    _fields = ("_base", "_shift")
+    __slots__ = _fields + ("__dict__",)   # the cached properties live in __dict__
     _base: tuple[tuple[tuple[int, ...], int], ...]
     _shift: int
 
@@ -158,10 +159,10 @@ class HomogBundle:
     def _from_base(cls, base, shift: int) -> "HomogBundle":
         """The bundle with untwisted form (``base``, ``shift``), which the caller
         keeps canonical.  A uniform shift keeps each weight's parity, dominance
-        and place in the order."""
+        and place in the order; the zero bundle gets shift 0, as ``_untwist`` gives it."""
         b = object.__new__(cls)
         object.__setattr__(b, "_base", base)
-        object.__setattr__(b, "_shift", shift)
+        object.__setattr__(b, "_shift", shift if base else 0)
         return b
 
     @property
@@ -182,8 +183,7 @@ class HomogBundle:
         # distinct, but not in order
         base, shift = _untwist(sorted([((-e, -d, -c, -b, -a), m)
                                        for (a, b, c, d, e), m in self._base], reverse=True))
-        # the zero bundle keeps shift 0, as its validated form has it
-        return HomogBundle._from_base(base, shift - self._shift if base else 0)
+        return HomogBundle._from_base(base, shift - self._shift)
 
     def twist(self, k: int) -> "HomogBundle":
         """Tensor with O(k): add k/2 to every coordinate, k to the doubled ones.

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import bbw, intersect, mukai, sections
@@ -37,8 +36,7 @@ from .rootdata import RationalSyntaxError, Weight, read_rational
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     claim: str
     expected: str
@@ -46,8 +44,7 @@ class VerifyCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     checks: tuple[VerifyCheck, ...]
 

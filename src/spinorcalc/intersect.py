@@ -45,13 +45,12 @@ operation is pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
-from typing import Callable, Literal, Optional, Sequence, Union
+from typing import Callable, Literal, NamedTuple, Optional, Sequence, Union
 
-from .rootdata import _exact, read_rational
+from .rootdata import _exact, _Frozen, read_rational
 
 Q = Fraction
 
@@ -77,35 +76,45 @@ def _over_common_den(values: Sequence[Union[int, Q]]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True, eq=False)
-class RingModel:
-    """A truncated cohomology ring: indexed graded basis, products, integration."""
+class RingModel(_Frozen):
+    """A truncated cohomology ring: indexed graded basis, products, integration.
 
+    Two models are equal only when they are the same object."""
+
+    __slots__ = ("name", "basis", "grades", "table", "den", "factors", "todd", "hyperplane",
+                 "index", "cells", "dim", "top_index")
     name: str
     basis: tuple[str, ...]
     grades: tuple[int, ...]
     table: Rows
     den: int
-    factors: Optional[tuple["RingModel", "RingModel"]] = None
-    todd: Optional[tuple[tuple[int, ...], int]] = None   # a factor's Todd class, num over den
-    hyperplane: Optional[tuple[tuple[int, ...], int]] = None   # a factor's H, num over den
-    index: dict[str, int] = field(init=False)
-    cells: tuple[tuple[tuple[int, Row], ...], ...] = field(init=False)
-    dim: int = field(init=False)
-    top_index: int = field(init=False)
+    factors: Optional[tuple["RingModel", "RingModel"]]
+    todd: Optional[tuple[tuple[int, ...], int]]   # a factor's Todd class, num over den
+    hyperplane: Optional[tuple[tuple[int, ...], int]]   # a factor's H, num over den
+    index: dict[str, int]
+    cells: tuple[tuple[tuple[int, Row], ...], ...]
+    dim: int
+    top_index: int
 
-    def __post_init__(self) -> None:
-        dim = max(self.grades)
-        object.__setattr__(self, "index", {l: i for i, l in enumerate(self.basis)})
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, basis: tuple[str, ...], grades: tuple[int, ...], table: Rows,
+                 den: int, factors: Optional[tuple["RingModel", "RingModel"]] = None,
+                 todd: Optional[tuple[tuple[int, ...], int]] = None,
+                 hyperplane: Optional[tuple[tuple[int, ...], int]] = None) -> None:
+        dim = max(grades)
         # cells[i] = the (j, table[i * n + j]) with a nonzero product e_i e_j
-        n = len(self.basis)
+        n = len(basis)
         cells: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
-        for p, row in enumerate(self.table):
+        for p, row in enumerate(table):
             if row:
                 cells[p // n].append((p % n, row))
-        object.__setattr__(self, "cells", tuple(map(tuple, cells)))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "top_index", self.grades.index(dim))
+        for f, value in zip(self.__slots__, (
+                name, basis, grades, table, den, factors, todd, hyperplane,
+                {l: i for i, l in enumerate(basis)}, tuple(map(tuple, cells)), dim,
+                grades.index(dim))):
+            object.__setattr__(self, f, value)
 
     def __repr__(self) -> str:
         return f"RingModel({self.name})"
@@ -807,8 +816,7 @@ def _apply(model: RingModel, matrix: Matrix, a: CohClass) -> CohClass:
     return CohClass._make(model, tuple(out), a.den * den)
 
 
-@dataclass(frozen=True)
-class GeomMap:
+class GeomMap(NamedTuple):
     """A named map with exact push/pull matrices on the indexed bases."""
 
     name: str

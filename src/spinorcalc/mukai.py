@@ -21,11 +21,10 @@ The kernels are the rows of one table, ``_KERNELS``, each built once by
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 from .intersect import (
     CohClass,
@@ -52,6 +51,7 @@ from .intersect import (
     x_times_curve,
     x_times_sdual,
 )
+from .rootdata import _Frozen
 
 Q = Fraction
 
@@ -64,27 +64,31 @@ Q = Fraction
 Side = Literal["left", "right"]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(_Frozen):
     """A cohomological integral-transform kernel on a product model.
 
     ``rows`` is the transform as a matrix from the source basis to the target
     basis: row i is the image of basis class e_i, the source-fibre-top slots
     of lift(e_i td) * kernel_ch times the parity.  It is computed once, when
-    the kernel is built, and takes no part in comparisons."""
+    the kernel is built, and takes no part in comparisons, hashing or the repr."""
 
+    _fields = ("name", "product", "source_side", "kernel_ch", "shift_parity")
+    __slots__ = _fields + ("rows",)
     name: str
     product: RingModel
     source_side: Side
     kernel_ch: CohClass
     shift_parity: int
-    rows: Matrix = field(init=False, repr=False, compare=False)
+    rows: Matrix
 
-    def __post_init__(self) -> None:
-        if self.kernel_ch.model is not self.product:
+    def __init__(self, name: str, product: RingModel, source_side: Side, kernel_ch: CohClass,
+                 shift_parity: int) -> None:
+        if kernel_ch.model is not product:
             raise ValueError("kernel class must live on the product model")
-        if self.shift_parity not in (1, -1):
+        if shift_parity not in (1, -1):
             raise ValueError("shift parity must be +1 or -1")
+        for f, value in zip(self._fields, (name, product, source_side, kernel_ch, shift_parity)):
+            object.__setattr__(self, f, value)
         object.__setattr__(self, "rows", self._transform_rows())
 
     def _transform_rows(self) -> Matrix:
@@ -249,8 +253,7 @@ def named_class(name: str, model: Optional[RingModel] = None) -> CohClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Pairing matrix of a collection with exceptionality/orthogonality flags.
 
     ``blocks`` partitions the collection into consecutive blocks; the

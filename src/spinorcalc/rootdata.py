@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Optional
 
@@ -109,8 +108,41 @@ def _check_twice(twice: tuple[int, ...]) -> None:
         raise ValueError(f"mixed integer/half-integer coordinates: {_text(twice)}")
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class Weight:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``_fields``: they decide equality, which
+    also needs the same class, the hash, which is that of the tuple of their
+    values, and the repr.  Its constructors set them with ``object.__setattr__``;
+    any other assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(_Frozen):
     """A lattice point in epsilon-coordinates.
 
     Coordinates must all be integers or all half-odd-integers; mixing the
@@ -122,6 +154,7 @@ class Weight:
     holds the doubled coordinates as ints.  Weights are immutable.
     """
 
+    __slots__ = _fields = ("twice",)
     twice: tuple[int, ...]
 
     def __init__(self, coords: Iterable) -> None:

@@ -34,11 +34,11 @@ return its results.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, NamedTuple, Optional, Sequence, Union
 
 from .bbw import DIM, CohomologyTable, HomogBundle, O, cohomology, make_bundle
+from .rootdata import _Frozen
 
 
 UNKNOWN = None   # marks the one unknown term of a splice problem
@@ -46,8 +46,7 @@ UNKNOWN = None   # marks the one unknown term of a splice problem
 Status = Literal["exact", "euler_only"]
 
 
-@dataclass(frozen=True)
-class SectionResult:
+class SectionResult(NamedTuple):
     """Outcome of a section or splice computation.
 
     ``table`` is the true cohomology table when ``status == "exact"`` and
@@ -236,29 +235,31 @@ Term = Optional[CohomologyTable]
 Bounds = tuple[list[int], list[int]]   # per-degree (lo, hi) of one term
 
 
-@dataclass(frozen=True)
-class SpliceProblem:
+class SpliceProblem(_Frozen):
     """An exact sequence of sheaves (3 or 4 terms) with one unknown term.
 
     ``dim`` is the dimension of the ambient space, bounding the degree
     range of every table.
     """
 
+    __slots__ = _fields = ("terms", "dim")
     terms: tuple[Term, ...]
     dim: int
 
-    def __post_init__(self) -> None:
-        if len(self.terms) not in (3, 4):
+    def __init__(self, terms: tuple[Term, ...], dim: int) -> None:
+        if len(terms) not in (3, 4):
             raise ValueError("splice supports sequences of length 3 or 4")
-        if self.terms.count(UNKNOWN) != 1:
+        if terms.count(UNKNOWN) != 1:
             raise ValueError("exactly one UNKNOWN term is required")
-        for t in self.terms:
+        for t in terms:
             if t is UNKNOWN:
                 continue
             if not isinstance(t, CohomologyTable):
                 raise TypeError(f"bad splice term {t!r}")
-            if t.entries and t.entries[-1][0] > self.dim:
-                raise ValueError(f"splice term {t} has a degree above dim {self.dim}")
+            if t.entries and t.entries[-1][0] > dim:
+                raise ValueError(f"splice term {t} has a degree above dim {dim}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def unknown_index(self) -> int:

@@ -71,6 +71,13 @@ class TestConstructors:
         b = U()
         assert b.twist(2).dual() == b.dual().twist(-2)
 
+    def test_the_zero_bundle_has_one_form(self):
+        zero = HomogBundle(())
+        for b in (zero.twist(3), zero * O(2), O(2) * zero, zero.twist(-1).dual(),
+                  zero.dual().twist(5), (U() * zero).twist(1)):
+            assert b == zero and hash(b) == hash(zero) and b._shift == 0
+            assert b.summands == () and b.rank == 0
+
 
 class TestParser:
     def test_tensor_tree(self):

@@ -1,5 +1,6 @@
-"""Every name a spinorcalc module imports is used in that module, and every
-private name a module defines at module level is read somewhere in the package.
+"""Every name a spinorcalc module imports is used in that module, every
+private name a module defines at module level is read somewhere in the package,
+and importing the CLI stays clear of ``dataclasses`` and ``inspect``.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name bound by ``import`` or ``from ... import`` must appear as a name
@@ -9,6 +10,8 @@ imports are the package's re-exports, and so are ``from __future__`` imports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,16 @@ def test_an_orphaned_private_name_is_found():
                                "_LIMIT: '_Hint' = a._ALIAS\n")}
     assert dead_private_names(trees) == {"a.py": {"_orphan", "_CONST", "_Hint"},
                                          "b.py": {"_LIMIT"}}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # they bring ast, dis, tokenize, linecache and copy with them, which made up
+    # about half of the time ``import spinorcalc.cli`` took in a fresh interpreter
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import spinorcalc.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=30, check=True)
+    loaded = proc.stdout.split()
+    assert "spinorcalc.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), \
+        f"import spinorcalc.cli loaded these modules: {loaded}"

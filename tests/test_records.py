@@ -132,7 +132,7 @@ def test_repr_is_pinned(name):
 def test_assignment_and_deletion_raise(name):
     fields, make_x, *_ = CASES[name]
     x = make_x()
-    for f in fields:
+    for f in fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(x, f, 0)
         with pytest.raises(AttributeError):
