@@ -108,13 +108,22 @@ def _check_twice(twice: tuple[int, ...]) -> None:
         raise ValueError(f"mixed integer/half-integer coordinates: {_text(twice)}")
 
 
+def _rebuild(cls: type, slots: dict) -> "_Frozen":
+    """The ``cls`` instance with these slot values: how pickle and copy restore one."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class _Frozen:
     """Base of the package's immutable value types.
 
     A subclass lists its fields in ``_fields``: they decide equality, which
     also needs the same class, the hash, which is that of the tuple of their
     values, and the repr.  Its constructors set them with ``object.__setattr__``;
-    any other assignment or deletion raises AttributeError.
+    any other assignment or deletion raises AttributeError, so pickle and copy
+    rebuild an instance through ``_rebuild``.
     """
 
     __slots__ = ()
@@ -140,6 +149,10 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        slots = [f for f in type(self).__slots__ if f != "__dict__"]
+        return _rebuild, (type(self), {f: getattr(self, f) for f in slots})
 
 
 class Weight(_Frozen):

@@ -3,9 +3,12 @@
 Each type compares equal by its fields and hashes as the tuple of those
 fields (``RingModel`` compares and hashes by identity, and ``KernelSpec.rows``
 takes no part), refuses attribute assignment and deletion, keeps its
-validation errors, and prints one fixed repr, pinned here byte for byte.
+validation errors, survives pickle and copy, and prints one fixed repr,
+pinned here byte for byte.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,12 +143,26 @@ def test_assignment_and_deletion_raise(name):
     assert tuple(getattr(x, f) for f in fields) == tuple(getattr(make_x(), f) for f in fields)
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_pickle_and_copy_keep_the_value(name):
+    x = CASES[name][1]()
+    copies = {"pickle": pickle.loads(pickle.dumps(x)), "copy": copy.copy(x),
+              "deepcopy": copy.deepcopy(x)}
+    for how, y in copies.items():
+        assert type(y) is type(x) and repr(y) == repr(x)
+        # a map or a kernel holds a ring model, which equals only itself, and
+        # only the shallow copy keeps the same model
+        assert (y == x) is (how == "copy" or name not in ("GeomMap", "KernelSpec"))
+
+
 def test_a_ring_model_equals_only_itself():
     x = model_x()
     twin = RingModel(x.name, x.basis, x.grades, x.table, x.den)
     assert x == x and twin != x and not twin == x
     assert hash(x) == object.__hash__(x) and hash(twin) == object.__hash__(twin)
     assert repr(twin) == "RingModel(X)"
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert y != x and repr(y) == repr(x) and (y.basis, y.index) == (x.basis, x.index)
     assert (twin.index, twin.cells, twin.dim, twin.top_index) == (x.index, x.cells, x.dim,
                                                                   x.top_index)
     for f in ("name", "table", "index", "cells", "dim", "top_index", "extra"):
