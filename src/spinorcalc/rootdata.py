@@ -127,7 +127,7 @@ class _Frozen:
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
