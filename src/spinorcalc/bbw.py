@@ -126,8 +126,8 @@ class HomogBundle(_Frozen):
     """Formal sum of irreducible equivariant bundles, tagged by weight.
 
     ``HomogBundle(summands)`` validates and canonicalizes: every multiplicity
-    an int (not a bool), checked before merging, every weight GL5-dominant,
-    equal weights merged, zero multiplicities dropped, none
+    an int (not a bool), checked before merging, every weight a GL5-dominant
+    ``Weight``, equal weights merged, zero multiplicities dropped, none
     negative, and the summands in strictly decreasing order of doubled weight.
     A bundle stores only their untwisted form (see ``_untwist``), the key of
     the cohomology and product memos; ``twice`` and ``summands`` derive from it.
@@ -145,6 +145,8 @@ class HomogBundle(_Frozen):
         for w, m in summands:
             if not isinstance(m, int) or isinstance(m, bool):
                 raise TypeError(f"a summand multiplicity must be an int, got {m!r}")
+            if not isinstance(w, Weight):
+                raise TypeError(f"a summand weight must be a Weight, got {w!r}")
             if not is_dominant(w, "GL5"):
                 raise ValueError(f"summand weight {w} is not GL5-dominant")
             counts[w.twice] += m

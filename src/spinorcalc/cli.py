@@ -76,12 +76,11 @@ class _Record(NamedTuple):
 
 
 class _Memo(dict):
-    """The values several checks of one ``verify_suite`` call share, each computed
-    on first use: the ``_SHARED`` entries, and the result of each
-    ``sections.pipeline_*`` wrapper under the wrapper's name."""
+    """The ``_SHARED`` values several checks of one ``verify_suite`` call share, each
+    computed on first use.  Pipeline results are shared by ``sections.pipeline``'s memo."""
 
     def __missing__(self, key: str):
-        self[key] = _SHARED[key](self) if key in _SHARED else getattr(sections, key)()
+        self[key] = _SHARED[key](self)
         return self[key]
 
 
@@ -232,21 +231,18 @@ _SECTION_ROWS = (
     ("k3-structure-sheaf", "K3 section has h^0 = h^2 = 1", "exact:{0: 1, 2: 1}", "O", 8),
 )
 
-# name, claim, expected, sections.pipeline_* wrapper, index of the result in the
-# wrapper's pair (None: its only result), degree (None: the whole table)
+# name, claim, expected, sections._PIPELINES entry, degree (None: the whole table)
 _PIPELINE_ROWS = (
     ("e1y-twist-vanishing", "H(X, E1y(-H)) = 0 with a collapsed page", "exact:{}",
-     "pipeline_e1y_vanishing", 0, None),
+     "E1y(-H)", None),
     ("e1y-dualU-twist-vanishing", "H(X, E1y x dual(U)(-H)) = 0", "exact:{}",
-     "pipeline_e1y_vanishing", 1, None),
+     "E1y*dual(U)(-H)", None),
     ("e1y-double-twist-degree1", "H^1(X, E1y(-2H)) = 0, exactly solved", "exact:0",
-     "pipeline_e1y_double_twist", None, 1),
-    ("e2y-twist-degree0", "H^0(S, E2y(-H)) = 0, exactly solved", "exact:0",
-     "pipeline_e2y_h0", None, 0),
-    ("e1y-tensor-u-vanishing", "H(X, E1y x U(-H)) = 0", "exact:{}",
-     "pipeline_e1y_tensor_u", None, None),
+     "E1y(-2H)", 1),
+    ("e2y-twist-degree0", "H^0(S, E2y(-H)) = 0, exactly solved", "exact:0", "E2y(-H)", 0),
+    ("e1y-tensor-u-vanishing", "H(X, E1y x U(-H)) = 0", "exact:{}", "E1y*U(-H)", None),
     ("e1y-dualU-double-twist", "H(X, E1y x dual(U)(-2H)) is a degree-3 line", "exact:{3: 1}",
-     "pipeline_e1y_tensor_udual_2h", None, None),
+     "E1y*dual(U)(-2H)", None),
 )
 
 # The checks of each suite in evaluation order.  A record looks up the library
@@ -272,9 +268,9 @@ SUITES: dict[str, tuple[_Record, ...]] = {
                 9, lambda m: sections.section_hilbert(7, 1)),
         _Record("curve-hilbert", "chi on the curve is 12k - 6 for k in -2..3", True,
                 lambda m: all(sections.section_hilbert(9, k) == 12 * k - 6 for k in range(-2, 4))),
-        *(_Record(name, claim, expected, lambda m, w=wrapper, i=index, d=degree:
-                  _status(m[w] if i is None else m[w][i], d))
-          for name, claim, expected, wrapper, index, degree in _PIPELINE_ROWS),
+        *(_Record(name, claim, expected, lambda m, e=entry, d=degree:
+                  _status(sections.pipeline(e), d))
+          for name, claim, expected, entry, degree in _PIPELINE_ROWS),
     ),
     "cherns": (
         _Record("tautological-character", "ch(U) = 5 - 2H + P on the threefold", None,

@@ -170,6 +170,8 @@ KERNELS = tuple(_KERNELS)[:6]
 @functools.lru_cache(maxsize=None)
 def kernel(name: str) -> KernelSpec:
     """The kernel of the ``_KERNELS`` row ``name``, built once."""
+    if name not in _KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; known: {list(_KERNELS)}")
     side, character, (a, b), parity = _KERNELS[name]
     ch = character()
     if (a, b) != (0, 0):

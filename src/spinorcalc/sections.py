@@ -26,9 +26,8 @@ of the rank-2 bundles E1y on the threefold and E2y on the K3 (the fibers of
 the universal families over points of the dual curve and dual surface),
 whose dual is the (-H)-twist since both have determinant H.  Each entry
 lists the terms of one exact sequence: section tables, results of earlier
-entries, and the unknown.  One memoized evaluator solves an entry, and
-every known term it splices must be exact; the ``pipeline_*`` functions
-return its results.
+entries, and the unknown.  ``pipeline(name)``, one memoized evaluator,
+solves an entry, and every known term it splices must be exact.
 """
 
 from __future__ import annotations
@@ -238,15 +237,18 @@ Bounds = tuple[list[int], list[int]]   # per-degree (lo, hi) of one term
 class SpliceProblem(_Frozen):
     """An exact sequence of sheaves (3 or 4 terms) with one unknown term.
 
-    ``dim`` is the dimension of the ambient space, bounding the degree
-    range of every table.
+    ``dim``, an int, is the dimension of the ambient space, bounding the
+    degree range of every table; ``terms`` is kept as a tuple.
     """
 
     __slots__ = _fields = ("terms", "dim")
     terms: tuple[Term, ...]
     dim: int
 
-    def __init__(self, terms: tuple[Term, ...], dim: int) -> None:
+    def __init__(self, terms: Sequence[Term], dim: int) -> None:
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"dim must be an int, got {dim!r}")
+        terms = tuple(terms)
         if len(terms) not in (3, 4):
             raise ValueError("splice supports sequences of length 3 or 4")
         if terms.count(UNKNOWN) != 1:
@@ -348,19 +350,24 @@ _PIPELINES: dict[str, tuple[tuple[Optional[tuple], ...], int]] = {
     "E1y*dual(U)(-H)": ((("dual(U)(-1)", 6, 5), ("dual(U)*dual(U)(-1)", 6, 1), UNKNOWN), 4),
     # 0 -> E1y(-2H) -> O(-1)^5 -> dual(U)(-1) -> E1y(-H) -> 0 on X
     "E1y(-2H)": ((UNKNOWN, ("O(-1)", 7, 5), ("dual(U)(-1)", 7, 1), ("E1y(-H)", 1)), 3),
-    # 0 -> E1y(-2H) -> E1y(-H) -> E2y(-H) -> 0, restricting E1y(-H) from X to S
+    # 0 -> E1y(-2H) -> E1y(-H) -> E2y(-H) -> 0, restricting E1y(-H) from X to S; its H^0
+    # vanishes by the stability of E2y
     "E2y(-H)": ((("E1y(-2H)", 1), ("E1y(-H)", 1), UNKNOWN), 3),
     # 0 -> E1y*U(-H) -> E1y(-H)^10 -> E1y*dual(U)(-H) -> 0, from 0 -> U -> O^10 -> dual(U) -> 0
     "E1y*U(-H)": ((UNKNOWN, ("E1y(-H)", 10), ("E1y*dual(U)(-H)", 1)), 3),
-    # 0 -> E1y(-H) -> U -> O^5 -> E1y -> 0 tensored with dual(U)(-H)
+    # 0 -> E1y(-H) -> U -> O^5 -> E1y -> 0 tensored with dual(U)(-H); its one line, in
+    # degree 3, is the numerical source of the left transform of dual(U) being a line
     "E1y*dual(U)(-2H)": ((UNKNOWN, ("U*dual(U)(-1)", 7, 1), ("dual(U)(-1)", 7, 5),
                           ("E1y*dual(U)(-H)", 1)), 3),
 }
 
 
 @functools.lru_cache(maxsize=None)
-def _solve(name: str) -> SectionResult:
-    """The entry ``name`` solved for its unknown; its results are frozen."""
+def pipeline(name: str) -> SectionResult:
+    """The ``_PIPELINES`` entry ``name`` solved for its unknown, memoized; ``_known``
+    reads an earlier entry's result from here too."""
+    if name not in _PIPELINES:
+        raise ValueError(f"unknown pipeline {name!r}; known: {list(_PIPELINES)}")
     terms, dim = _PIPELINES[name]
     return splice_solve(SpliceProblem(tuple(map(_known, terms)), dim=dim))
 
@@ -374,33 +381,7 @@ def _known(term: Optional[tuple]) -> Term:
         res, what = section_cohomology(expr, codim), f"{expr} at codim {codim}"
     else:
         name, copies = term
-        res, what = _solve(name), f"the {name} result"
+        res, what = pipeline(name), f"the {name} result"
     if not res.exact:
         raise ArithmeticError(f"expected a collapsed table for {what}")
     return res.table if copies == 1 else res.table.scaled(copies)
-
-
-def pipeline_e1y_vanishing() -> tuple[SectionResult, SectionResult]:
-    """H(X, E1y(-H)) = 0 and H(X, E1y x dual(U)(-H)) = 0, from the fourfold."""
-    return _solve("E1y(-H)"), _solve("E1y*dual(U)(-H)")
-
-
-def pipeline_e1y_double_twist() -> SectionResult:
-    """H(X, E1y(-2H)); the interesting entry is degree 1, which must vanish."""
-    return _solve("E1y(-2H)")
-
-
-def pipeline_e2y_h0() -> SectionResult:
-    """H(S, E2y(-H)); degree 0 must vanish (stability of E2y)."""
-    return _solve("E2y(-H)")
-
-
-def pipeline_e1y_tensor_u() -> SectionResult:
-    """H(X, E1y x U(-H)) = 0."""
-    return _solve("E1y*U(-H)")
-
-
-def pipeline_e1y_tensor_udual_2h() -> SectionResult:
-    """H(X, E1y x dual(U)(-2H)) = {3: 1}, the numerical source of the left transform
-    of dual(U) being a line."""
-    return _solve("E1y*dual(U)(-2H)")

@@ -53,16 +53,16 @@ def test_criterion_04_serre_twisted_tables():
 
 
 def test_criterion_05_splice_pipelines():
-    plain, tensored = sections.pipeline_e1y_vanishing()
+    plain, tensored = sections.pipeline("E1y(-H)"), sections.pipeline("E1y*dual(U)(-H)")
     assert plain.exact and plain.table.is_zero
     assert tensored.exact and tensored.table.is_zero
-    double = sections.pipeline_e1y_double_twist()
+    double = sections.pipeline("E1y(-2H)")
     assert double.exact and double.table.dim(1) == 0
-    h0 = sections.pipeline_e2y_h0()
+    h0 = sections.pipeline("E2y(-H)")
     assert h0.exact and h0.table.dim(0) == 0
-    tensor_u = sections.pipeline_e1y_tensor_u()
+    tensor_u = sections.pipeline("E1y*U(-H)")
     assert tensor_u.exact and tensor_u.table.is_zero
-    adj = sections.pipeline_e1y_tensor_udual_2h()
+    adj = sections.pipeline("E1y*dual(U)(-2H)")
     assert adj.exact and adj.table.dims() == {3: 1}
     _report("criterion 5", "five splice pipelines exact: 0, 0 (deg 1), 0 (deg 0), 0, {3:1}")
 

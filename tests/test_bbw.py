@@ -205,6 +205,11 @@ def test_homog_bundle_validation():
         with pytest.raises(TypeError) as exc:
             HomogBundle(summands)
         assert str(exc.value) == f"a summand multiplicity must be an int, got {summands[0][1]!r}"
+    # a weight is a Weight, not its coordinates or their text
+    for w in ((1, 0, 0, 0, 0), "1,0,0,0,0", vector.twice):
+        with pytest.raises(TypeError) as exc:
+            HomogBundle(((w, 1),))
+        assert str(exc.value) == f"a summand weight must be a Weight, got {w!r}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,6 +146,13 @@ class TestKernelTable:
         assert rebuilt == K
         assert rebuilt.rows == K.rows
 
+    def test_unknown_kernel_names_the_rows(self):
+        with pytest.raises(ValueError) as err:
+            kernel("bogus")
+        assert str(err.value) == (
+            "unknown kernel 'bogus'; known: ['phi1', 'phi1-left', 'phi1-shriek', 'phi2', "
+            "'phi2-left', 'E-tilde', 'u-piece-sub', 'u-piece-quotient-dual']")
+
     @pytest.mark.parametrize("point_bundle, label",
                              [(class_e1y, "E1y"), (class_e2y, "E2y")])
     def test_a_point_image_of_the_wrong_rank_raises(self, monkeypatch, point_bundle, label):

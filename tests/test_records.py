@@ -196,6 +196,10 @@ def test_kernel_rows_take_no_part_in_equality_hash_or_repr():
      "bad splice term {0: 1}"),
     (lambda: SpliceProblem((None, CohomologyTable(((4, 1),)), CohomologyTable(())), 3),
      ValueError, "splice term {4: 1} has a degree above dim 3"),
+    *((lambda dim=dim: SpliceProblem((None, CohomologyTable(()), CohomologyTable(())), dim),
+       TypeError, f"dim must be an int, got {dim!r}") for dim in (True, 2.0, "2", None)),
+    # the dim is checked first, here before the length of the sequence
+    (lambda: SpliceProblem((None, None), "3"), TypeError, "dim must be an int, got '3'"),
     (lambda: Weight((0, 0, 0, 0)), ValueError, "expected 5 coordinates, got 4"),
     (lambda: Weight((Fraction(1, 3), 0, 0, 0, 0)), ValueError,
      "coordinates must be integers or half-integers: 1/3,0,0,0,0"),

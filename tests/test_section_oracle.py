@@ -3,7 +3,7 @@ Serre duality on the section, Hilbert polynomials of the threefold, the
 K3 and the curve where the higher cohomology is known to vanish, the genus
 of the curve, and Riemann-Roch in the intersection ring for the Euler
 numbers of grammar bundles on the threefold, the K3 and the curve and for
-the Euler numbers of the five splice pipelines.  The same ring classes of
+the Euler numbers of the six splice pipeline entries.  The same ring classes of
 grammar bundles check the hyperplane-section pullbacks alpha and beta."""
 
 import pytest
@@ -23,14 +23,7 @@ from spinorcalc.intersect import (
     model_x,
     tautological_ch,
 )
-from spinorcalc.sections import (
-    pipeline_e1y_double_twist,
-    pipeline_e1y_tensor_u,
-    pipeline_e1y_tensor_udual_2h,
-    pipeline_e1y_vanishing,
-    pipeline_e2y_h0,
-    section_cohomology,
-)
+from spinorcalc.sections import pipeline, section_cohomology
 from test_koszul_columns import bundle_exprs
 
 BASES = ("O", "U", "dual(U)", "U*U", "U*dual(U)", "dual(U)*dual(U)")
@@ -109,18 +102,16 @@ def test_splice_pipelines_match_riemann_roch():
     X, S = model_x(), model_s()
     e1y, e2y, u = mukai.class_e1y(), mukai.class_e2y(), tautological_ch(X)
     h_x, h_s = hyperplane(X), hyperplane(S)
-    plain, tensored = pipeline_e1y_vanishing()
     cases = {
-        "E1y(-H)": (plain, X, e1y.twisted(h_x.scale(-1)), 0),
-        "E1y*dual(U)(-H)": (tensored, X, (e1y * u.dual()).twisted(h_x.scale(-1)), 0),
-        "E1y(-2H)": (pipeline_e1y_double_twist(), X, e1y.twisted(h_x.scale(-2)), -5),
-        "E2y(-H) on S": (pipeline_e2y_h0(), S, e2y.twisted(h_s.scale(-1)), 5),
-        "E1y*U(-H)": (pipeline_e1y_tensor_u(), X, (e1y * u).twisted(h_x.scale(-1)), 0),
-        "E1y*dual(U)(-2H)": (pipeline_e1y_tensor_udual_2h(), X,
-                             (e1y * u.dual()).twisted(h_x.scale(-2)), -1),
+        "E1y(-H)": (X, e1y.twisted(h_x.scale(-1)), 0),
+        "E1y*dual(U)(-H)": (X, (e1y * u.dual()).twisted(h_x.scale(-1)), 0),
+        "E1y(-2H)": (X, e1y.twisted(h_x.scale(-2)), -5),
+        "E2y(-H)": (S, e2y.twisted(h_s.scale(-1)), 5),
+        "E1y*U(-H)": (X, (e1y * u).twisted(h_x.scale(-1)), 0),
+        "E1y*dual(U)(-2H)": (X, (e1y * u.dual()).twisted(h_x.scale(-2)), -1),
     }
-    for name, (result, model, ch, euler) in cases.items():
-        assert result.table.euler == _euler(model, ch) == euler, name
+    for name, (model, ch, euler) in cases.items():
+        assert pipeline(name).table.euler == _euler(model, ch) == euler, name
 
 
 @settings(max_examples=40, deadline=None)

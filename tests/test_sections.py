@@ -12,11 +12,7 @@ from spinorcalc.sections import (
     SpliceError,
     SpliceProblem,
     koszul_page,
-    pipeline_e1y_double_twist,
-    pipeline_e1y_tensor_u,
-    pipeline_e1y_tensor_udual_2h,
-    pipeline_e1y_vanishing,
-    pipeline_e2y_h0,
+    pipeline,
     section_cohomology,
     section_hilbert,
     splice_solve,
@@ -163,6 +159,14 @@ class TestSplice:
         with pytest.raises(ValueError):
             SpliceProblem((T({}), T({})), dim=3)
 
+    def test_keeps_its_terms_as_a_tuple(self):
+        terms = [T({0: 1}), UNKNOWN, T({0: 2})]
+        problem = SpliceProblem(terms, dim=2)
+        terms[0] = T({5: 1})
+        assert problem.terms == (T({0: 1}), UNKNOWN, T({0: 2}))
+        assert problem == SpliceProblem(tuple(problem.terms), dim=2)
+        assert hash(problem) == hash((problem.terms, 2))
+
     def test_rejects_non_table_term(self):
         with pytest.raises(TypeError):
             SpliceProblem((UNKNOWN, T({}), {0: 1}), dim=3)
@@ -227,18 +231,17 @@ class TestSplice:
 
 class TestPipelines:
     def test_e1y_vanishing(self):
-        plain, tensored = pipeline_e1y_vanishing()
-        for res in (plain, tensored):
+        for res in (pipeline("E1y(-H)"), pipeline("E1y*dual(U)(-H)")):
             assert res.exact and res.table.is_zero and res.euler == 0
 
     def test_e1y_double_twist(self):
-        res = pipeline_e1y_double_twist()
+        res = pipeline("E1y(-2H)")
         assert res.exact
         assert res.table.dim(1) == 0
         assert res.table.dims() == {3: 5}
 
     def test_e2y_h0(self):
-        res = pipeline_e2y_h0()
+        res = pipeline("E2y(-H)")
         assert res.exact
         assert res.table.dim(0) == 0
         assert res.table.dims() == {2: 5}
@@ -246,22 +249,20 @@ class TestPipelines:
         assert res.euler == 5
 
     def test_e1y_tensor_u(self):
-        res = pipeline_e1y_tensor_u()
+        res = pipeline("E1y*U(-H)")
         assert res.exact and res.table.is_zero
 
     def test_e1y_tensor_udual_double_twist(self):
-        res = pipeline_e1y_tensor_udual_2h()
+        res = pipeline("E1y*dual(U)(-2H)")
         assert res.exact and res.table.dims() == {3: 1}
 
     def test_pipeline_euler_conservation(self):
-        plain, tensored = pipeline_e1y_vanishing()
+        plain, tensored = pipeline("E1y(-H)"), pipeline("E1y*dual(U)(-H)")
         assert plain.euler == 0 and tensored.euler == 0
-        assert pipeline_e1y_double_twist().euler == -5
-        assert pipeline_e1y_tensor_udual_2h().euler == -1
+        assert pipeline("E1y(-2H)").euler == -5
+        assert pipeline("E1y*dual(U)(-2H)").euler == -1
 
 
-WRAPPERS = (pipeline_e1y_vanishing, pipeline_e1y_double_twist, pipeline_e2y_h0,
-            pipeline_e1y_tensor_u, pipeline_e1y_tensor_udual_2h)
 PIPELINE_NAMES = list(sections._PIPELINES)
 
 
@@ -269,9 +270,9 @@ PIPELINE_NAMES = list(sections._PIPELINES)
 def fresh_pipelines(monkeypatch):
     """``monkeypatch`` for the pipeline table, with the evaluator's memo empty before and
     after the test."""
-    sections._solve.cache_clear()
+    pipeline.cache_clear()
     yield monkeypatch
-    sections._solve.cache_clear()
+    pipeline.cache_clear()
 
 
 @pytest.mark.parametrize("name", PIPELINE_NAMES)
@@ -289,18 +290,21 @@ def test_pipeline_entry(name):
         else:                # a reference, only to an earlier entry, so the evaluator ends
             ref, copies = term
             assert ref in earlier and copies >= 1
-    assert sections._solve(name).exact
+    assert pipeline(name).exact
 
 
-def test_wrappers_share_one_memo(fresh_pipelines):
-    first = [w() for w in WRAPPERS]
-    assert sections._solve.cache_info().currsize == len(PIPELINE_NAMES)
-    for wrapper, res in zip(WRAPPERS, first):
-        again = wrapper()
-        if type(res) is tuple:   # the E1y(-H) pair; a SectionResult is a NamedTuple
-            assert len(again) == len(res) and all(a is b for a, b in zip(again, res))
-        else:
-            assert again is res
+def test_entries_share_one_memo(fresh_pipelines):
+    first = [pipeline(name) for name in PIPELINE_NAMES]
+    assert pipeline.cache_info().currsize == len(PIPELINE_NAMES)
+    assert all(pipeline(name) is res for name, res in zip(PIPELINE_NAMES, first))
+
+
+def test_unknown_pipeline_names_the_entries():
+    with pytest.raises(ValueError) as err:
+        pipeline("E1y(-3H)")
+    assert str(err.value) == (
+        "unknown pipeline 'E1y(-3H)'; known: ['E1y(-H)', 'E1y*dual(U)(-H)', 'E1y(-2H)', "
+        "'E2y(-H)', 'E1y*U(-H)', 'E1y*dual(U)(-2H)']")
 
 
 def test_inexact_reference_raises(fresh_pipelines):
@@ -308,10 +312,10 @@ def test_inexact_reference_raises(fresh_pipelines):
     # its upper bounds must not enter a splice as a pinned table
     fresh_pipelines.setitem(sections._PIPELINES, "E1y(-H)",
                             ((("O", 8, 1), ("O", 8, 1), UNKNOWN), 2))
-    assert not pipeline_e1y_vanishing()[0].exact
-    for wrapper in (pipeline_e1y_double_twist, pipeline_e2y_h0, pipeline_e1y_tensor_u):
+    assert not pipeline("E1y(-H)").exact
+    for name in ("E1y(-2H)", "E2y(-H)", "E1y*U(-H)"):
         with pytest.raises(ArithmeticError) as err:
-            wrapper()
+            pipeline(name)
         assert str(err.value) == "expected a collapsed table for the E1y(-H) result"
 
 
@@ -323,7 +327,7 @@ def test_inexact_section_term_error_text(fresh_pipelines, capsys):
                               ("E1y*dual(U)(-H)", 1)), 3))
     message = f"expected a collapsed table for {expr} at codim 7"
     with pytest.raises(ArithmeticError) as err:
-        pipeline_e1y_tensor_udual_2h()
+        pipeline("E1y*dual(U)(-2H)")
     assert str(err.value) == message
     assert run(["verify", "--suite", "koszul"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
